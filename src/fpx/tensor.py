@@ -2,6 +2,21 @@
 
 Tensors are immutable after construction; every kernel verifies its output is
 finite and raises instead of letting NaN/Inf propagate.
+
+``Tensor(x)`` copies ``x``.  A kernel's output array becomes a tensor without
+a copy and is marked read-only; it may be a view of an input's (read-only)
+data, as ``transpose`` and ``narrow`` return.
+
+The three conv kernels size their scratch buffer by the side with fewer
+channels, ``min(cin, cout) * kh * kw`` rows of image size.  At stride 1 with
+``cout < cin`` the taps are unrolled on the output side: one product of the
+tap-major kernel with the padded input, then ``kh * kw`` shifted slice-adds
+(``conv2d``), or one product of the shifted seeds with the padded input
+(``conv2d_grad_kernel``); the input adjoint is the forward contraction with
+the kernel flipped and its channels swapped, at padding ``k - 1 - p`` (square
+kernels with ``p <= k - 1``).  Every other case, including the input adjoint
+of a non-square kernel or with ``p > k - 1``, keeps the route whose scratch
+has ``cin * kh * kw`` rows (im2col).  The operand shapes alone pick the route.
 """
 
 from __future__ import annotations
@@ -62,9 +77,16 @@ class Tensor:
 
 
 def _wrap(arr: np.ndarray) -> Tensor:
-    if not np.all(np.isfinite(arr)):
+    """Make a kernel's fresh output (or a view of tensor data) a read-only
+    tensor, without a copy or a full-size temporary."""
+    # a sum is non-finite whenever an entry is; only then is the exact scan
+    # needed, since a finite array can overflow its sum
+    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericsError("kernel produced a non-finite value")
-    return Tensor(arr)
+    arr.setflags(write=False)
+    out = Tensor.__new__(Tensor)
+    object.__setattr__(out, "data", arr)
+    return out
 
 
 def as_tensor(x) -> Tensor:
@@ -137,17 +159,32 @@ def _im2col(padded: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int)
     return cols.reshape(c * kh * kw, oh * ow)
 
 
+def _conv(x: np.ndarray, k: np.ndarray, stride: int, padding: int, oh: int, ow: int) -> np.ndarray:
+    """Cross-correlate ``x`` (cin, H, W) with ``k`` (cout, cin, kh, kw) into a
+    fresh (cout, oh, ow) array; the caller has checked the geometry."""
+    cout, cin, kh, kw = k.shape
+    padded = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    if stride == 1 and cout < cin:
+        _, hp, wp = padded.shape
+        taps = k.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin) @ padded.reshape(cin, hp * wp)
+        taps = taps.reshape(kh, kw, cout, hp, wp)
+        out = np.zeros((cout, oh, ow))
+        for u in range(kh):
+            for v in range(kw):
+                out += taps[u, v, :, u : u + oh, v : v + ow]
+        return out
+    cols = _im2col(padded, kh, kw, stride, oh, ow)
+    return (k.reshape(cout, cin * kh * kw) @ cols).reshape(cout, oh, ow)
+
+
 @_quiet
 def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     _check_conv_args(inp, kernel, stride, padding)
-    cout, cin, kh, kw = kernel.shape
+    _, _, kh, kw = kernel.shape
     _, h, w = inp.shape
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(w, kw, stride, padding)
-    padded = np.pad(inp.data, ((0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(padded, kh, kw, stride, oh, ow)
-    out = kernel.data.reshape(cout, cin * kh * kw) @ cols
-    return _wrap(out.reshape(cout, oh, ow))
+    return _wrap(_conv(inp.data, kernel.data, stride, padding, oh, ow))
 
 
 @_quiet
@@ -163,6 +200,9 @@ def conv2d_grad_input(seed: Tensor, kernel: Tensor, stride: int = 1, padding: in
     w = (ow - 1) * stride + kw - 2 * padding
     if h < 1 or w < 1:
         raise ShapeError("conv grad recovers a non-positive input size")
+    if stride == 1 and cout < cin and kh == kw and padding <= kh - 1:
+        flipped = kernel.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _wrap(_conv(seed.data, flipped, 1, kh - 1 - padding, h, w))
     tmp = kernel.data.reshape(cout, cin * kh * kw).T @ seed.data.reshape(cout, oh * ow)
     tmp = tmp.reshape(cin, kh, kw, oh, ow)
     padded = np.zeros((cin, h + 2 * padding, w + 2 * padding))
@@ -187,6 +227,15 @@ def conv2d_grad_kernel(seed: Tensor, inp: Tensor, kernel_hw: tuple[int, int],
     if oh != _conv_out_size(h, kh, stride, padding) or ow != _conv_out_size(w, kw, stride, padding):
         raise ShapeError("seed shape inconsistent with input/kernel geometry")
     padded = np.pad(inp.data, ((0, 0), (padding, padding), (padding, padding)))
+    if stride == 1 and cout < cin:
+        _, hp, wp = padded.shape
+        shifted = np.zeros((kh, kw, cout, hp, wp))
+        for u in range(kh):
+            for v in range(kw):
+                shifted[u, v, :, u : u + oh, v : v + ow] = seed.data
+        out = shifted.reshape(kh * kw * cout, hp * wp) @ padded.reshape(cin, hp * wp).T
+        # C order, like the kernel it is the gradient of
+        return _wrap(np.ascontiguousarray(out.reshape(kh, kw, cout, cin).transpose(2, 3, 0, 1)))
     cols = _im2col(padded, kh, kw, stride, oh, ow)
     out = seed.data.reshape(cout, oh * ow) @ cols.T
     return _wrap(out.reshape(cout, cin, kh, kw))

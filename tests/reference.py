@@ -39,6 +39,37 @@ def naive_conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int, padding: int)
     return out
 
 
+def naive_conv2d_grad_input(seed: np.ndarray, kernel: np.ndarray, stride: int, padding: int,
+                            h: int, w: int) -> np.ndarray:
+    """Scatter each seed entry back through the taps it was gathered from."""
+    cout, oh, ow = seed.shape
+    _, cin, kh, kw = kernel.shape
+    padded = np.zeros((cin, h + 2 * padding, w + 2 * padding))
+    for o in range(cout):
+        for i in range(oh):
+            for j in range(ow):
+                for u in range(kh):
+                    for v in range(kw):
+                        padded[:, i * stride + u, j * stride + v] += seed[o, i, j] * kernel[o, :, u, v]
+    return padded[:, padding:padding + h, padding:padding + w]
+
+
+def naive_conv2d_grad_kernel(seed: np.ndarray, inp: np.ndarray, kh: int, kw: int,
+                             stride: int, padding: int) -> np.ndarray:
+    cout, oh, ow = seed.shape
+    cin, h, w = inp.shape
+    padded = np.zeros((cin, h + 2 * padding, w + 2 * padding))
+    padded[:, padding:padding + h, padding:padding + w] = inp
+    out = np.zeros((cout, cin, kh, kw))
+    for o in range(cout):
+        for i in range(oh):
+            for j in range(ow):
+                for u in range(kh):
+                    for v in range(kw):
+                        out[o, :, u, v] += seed[o, i, j] * padded[:, i * stride + u, j * stride + v]
+    return out
+
+
 def central_diff(f, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of a scalar function of an array."""
     grad = np.zeros_like(x, dtype=np.float64)

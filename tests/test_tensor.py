@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fpx import tensor as T
 from fpx.tensor import NumericsError, ShapeError, Tensor
 
-from reference import naive_conv2d, naive_matmul
+from reference import (naive_conv2d, naive_conv2d_grad_input, naive_conv2d_grad_kernel,
+                       naive_matmul)
 
 
 def test_tensor_is_immutable():
@@ -22,6 +23,36 @@ def test_tensor_copies_its_input():
     t = Tensor(src)
     src[0] = 7.0
     assert t.data[0] == 1.0
+
+
+class TestWrap:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [0, 3, 6])
+    def test_non_finite_anywhere_raises(self, bad, pos):
+        a = np.ones(7)
+        a[pos] = bad
+        with pytest.raises(NumericsError):
+            T.add(Tensor(a), Tensor(np.zeros(7)))
+
+    def test_finite_values_with_overflowing_sum_pass(self):
+        out = T.add(Tensor([1e308] * 2), Tensor([-1e300] * 2))
+        assert np.all(np.isfinite(out.data))
+
+    def test_outputs_are_read_only_and_never_write_through(self):
+        a = Tensor(np.arange(6.0).reshape(2, 3))
+        b = Tensor(np.ones((2, 3)))
+        total = T.add(a, b)
+        assert not np.shares_memory(total.data, a.data)
+        assert not np.shares_memory(total.data, b.data)
+        for out in (total, T.transpose(a), T.narrow(a, 1, 1, 2)):
+            with pytest.raises(ValueError):
+                out.data[0, 0] = -1.0
+        # views of an input's data cannot even be made writable again
+        for view in (T.transpose(a), T.narrow(a, 1, 1, 2)):
+            with pytest.raises(ValueError):
+                view.data.setflags(write=True)
+        np.testing.assert_array_equal(a.data, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(b.data, np.ones((2, 3)))
 
 
 def test_matmul_identity():
@@ -125,6 +156,56 @@ class TestConv2d:
         s = rng.standard_normal(y.shape)
         gk = T.conv2d_grad_kernel(Tensor(s), Tensor(x), (3, 3), 1, 1)
         assert abs(np.sum(s * y.data) - np.sum(gk.data * k)) < 1e-10
+
+
+def _conv_case(cin, cout, kh, kw, stride, padding, oh, ow, seed):
+    rng = np.random.default_rng(seed)
+    h = (oh - 1) * stride + kh - 2 * padding
+    w = (ow - 1) * stride + kw - 2 * padding
+    x = rng.standard_normal((cin, h, w))
+    k = rng.standard_normal((cout, cin, kh, kw))
+    s = rng.standard_normal((cout, oh, ow))
+    return x, k, s
+
+
+# Channel pairs on both sides of the route rule (cout < cin unrolls the
+# output side at stride 1), strides 1-3 and paddings 0..k, so the flipped
+# input adjoint's p > k - 1 fallback runs too.
+_CONV_GEOMETRIES = (
+    [(ci, co, 3, 3, st, p, 6, 5)
+     for ci, co in ((2, 3), (3, 2), (3, 3))
+     for st in (1, 2, 3) for p in range(4)]
+    + [(ci, co, 2, 3, st, p, 4, 5) for ci, co in ((2, 3), (3, 2)) for st in (1, 2) for p in (0, 1)]
+    + [(ci, co, 1, 1, 1, p, 4, 5) for ci, co in ((2, 3), (3, 2)) for p in (0, 1)]
+    + [(32, 1, 3, 3, 1, 1, 16, 16), (2, 32, 3, 3, 1, 1, 16, 16)]
+)
+
+
+@pytest.mark.parametrize("cin,cout,kh,kw,stride,padding,oh,ow", _CONV_GEOMETRIES)
+class TestConvRoutes:
+    def test_forward_matches_naive(self, cin, cout, kh, kw, stride, padding, oh, ow):
+        x, k, _ = _conv_case(cin, cout, kh, kw, stride, padding, oh, ow, 10)
+        got = T.conv2d(Tensor(x), Tensor(k), stride, padding).data
+        assert got.shape == (cout, oh, ow)
+        assert np.max(np.abs(got - naive_conv2d(x, k, stride, padding))) < 1e-12
+
+    def test_grad_input_matches_naive_and_adjoint(self, cin, cout, kh, kw, stride, padding, oh, ow):
+        x, k, s = _conv_case(cin, cout, kh, kw, stride, padding, oh, ow, 11)
+        gx = T.conv2d_grad_input(Tensor(s), Tensor(k), stride, padding).data
+        want = naive_conv2d_grad_input(s, k, stride, padding, x.shape[1], x.shape[2])
+        assert gx.shape == x.shape
+        assert np.max(np.abs(gx - want)) < 1e-12
+        y = naive_conv2d(x, k, stride, padding)
+        assert abs(np.sum(s * y) - np.sum(gx * x)) < 1e-12 * np.sum(np.abs(s * y))
+
+    def test_grad_kernel_matches_naive_and_adjoint(self, cin, cout, kh, kw, stride, padding, oh, ow):
+        x, k, s = _conv_case(cin, cout, kh, kw, stride, padding, oh, ow, 12)
+        gk = T.conv2d_grad_kernel(Tensor(s), Tensor(x), (kh, kw), stride, padding).data
+        want = naive_conv2d_grad_kernel(s, x, kh, kw, stride, padding)
+        assert gk.shape == k.shape
+        assert np.max(np.abs(gk - want)) < 1e-12
+        y = naive_conv2d(x, k, stride, padding)
+        assert abs(np.sum(s * y) - np.sum(gk * k)) < 1e-12 * np.sum(np.abs(s * y))
 
 
 class TestElementwise:
