@@ -17,8 +17,6 @@ from .graph import (
     Node,
     NonDifferentiableError,
     backward,
-    detach_clone,
-    inner_builder,
     partial_diff,
     vjp,
 )
@@ -45,7 +43,6 @@ from .fpi import (
     closed_form_gradient,
     convergence_check,
     forward_fpi,
-    fpi_gd_step,
     fpi_layer,
     spectral_norm_jacobian,
     unrolled_gradient,

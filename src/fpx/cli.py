@@ -13,7 +13,8 @@ import configparser
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .data import (
 )
 from .fpi import Criterion, FpiConfig, fpi_layer, forward_fpi
 from .graph import Graph, backward
-from .layers import ConvG, EnergyNet, GdG, MlpG, Parameters, save_parameters
+from .layers import ConvG, EnergyNet, GdG, GModule, MlpG, Parameters, save_parameters
 from .tensor import Tensor
 from .train import (
     AdamState,
@@ -57,7 +58,7 @@ class ExperimentConfig:
     tol: float = 1e-6
     criterion: str = "relative_beta"
     max_iter: int = 500
-    gamma: float = 0.01
+    gamma: float = 0.01                     # step size of the fpi_gd update map
     # toybox
     dim: int = 10
     hidden: int = 32
@@ -98,15 +99,16 @@ TASK_DEFAULTS = {
     "gradcheck": dict(),
 }
 
-_SECTION_FIELDS = {
-    "experiment": ("model", "seed", "epochs", "batch_size", "init_scale", "lr",
-                   "grad_clamp_norm", "on_unconverged", "dim", "hidden", "n_train",
-                   "n_test", "sigma_train", "sigma_test", "crop", "n_train_images",
-                   "n_test_images", "sigmas", "channels", "n_features", "n_labels", "gd_tol",
-                   "expected_train", "expected_test", "val_fraction", "n_models"),
+_OTHER_SECTIONS = {
     "fpi": ("tol", "criterion", "max_iter", "gamma"),
     "data": ("corpus", "train_path", "test_path"),
     "output": ("out_dir", "metrics_path"),
+}
+# [experiment] takes every other field; the task comes from the command line
+_SECTION_FIELDS = {
+    "experiment": tuple(f.name for f in fields(ExperimentConfig) if f.name != "task"
+                        and not any(f.name in keys for keys in _OTHER_SECTIONS.values())),
+    **_OTHER_SECTIONS,
 }
 
 
@@ -141,6 +143,9 @@ def make_config(task: str, path: str | None = None, **overrides) -> ExperimentCo
                     raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
                 cfg = replace(cfg, **{key: _coerce(key, raw)})
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    if cfg.on_unconverged not in ("warn", "abort"):
+        raise ValueError(f"on_unconverged must be 'warn' or 'abort', "
+                         f"got {cfg.on_unconverged!r}")
     if not cfg.metrics_path:
         cfg = replace(cfg, metrics_path=os.path.join(cfg.out_dir, "metrics.csv"))
     return cfg
@@ -148,7 +153,7 @@ def make_config(task: str, path: str | None = None, **overrides) -> ExperimentCo
 
 def fpi_config(cfg: ExperimentConfig) -> FpiConfig:
     return FpiConfig(tol=cfg.tol, criterion=Criterion(cfg.criterion),
-                     max_iter=cfg.max_iter, gamma=cfg.gamma)
+                     max_iter=cfg.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +211,6 @@ class SolveStats:
             self.bwd_iters += bres.iterations
             self.bwd_unconverged += 0 if bres.converged else 1
 
-    def record_result(self, res):
-        self.fwd_solves += 1
-        self.fwd_iters += res.iterations
-        self.fwd_unconverged += 0 if res.converged else 1
-
     def rows(self, run_id: str, epoch: int) -> list[tuple]:
         if self.fwd_solves == 0:
             return []
@@ -232,57 +232,13 @@ class SolveStats:
 
 
 # ---------------------------------------------------------------------------
-# shared training machinery (vector tasks: state and input are column batches)
+# the training loop shared by every task
 
 
-def _column_batches(n: int, batch: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for start in range(0, n, batch):
-        yield order[start : start + batch]
-
-
-def _check_converged(cfg: ExperimentConfig, node):
-    res = node.attrs["result"]
-    if not res.converged and cfg.on_unconverged == "abort":
-        raise RuntimeError(f"forward solve failed to converge "
-                           f"(residual {res.residual:.3e}); aborting per policy")
-
-
-def _train_step_vector(cfg, module, theta, state, zb, tb, loss_kind, post_sigmoid,
-                       stats, is_fpi):
-    g = Graph()
-    znode = g.leaf(zb)
-    tnodes = {n: g.leaf(theta[n]) for n in module.param_names}
+def _predict_vector(cfg, module, theta, z: Tensor, post_sigmoid, is_fpi) -> Tensor:
     if is_fpi:
-        xnode = fpi_layer(g, module, znode, tnodes, fpi_config(cfg))
-    else:
-        x0 = g.leaf(T.zeros(module.state_shape(zb)))
-        xnode = module.build(g, x0, znode, tnodes)
-    pred = g.sigmoid(xnode) if post_sigmoid else xnode
-    target = g.leaf(tb)
-    loss = build_mse(g, pred, target) if loss_kind == "mse" else build_bce(g, pred, target)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)   # truncation is counted in stats
-        grads_map = backward(g, loss)
-    grads = Parameters({n: grads_map.get(tnodes[n].id, T.zeros(theta[n].shape))
-                        for n in module.param_names})
-    if cfg.grad_clamp_norm > 0:
-        grads = grad_clamp(grads, cfg.grad_clamp_norm)
-    if is_fpi:
-        stats.record_node(xnode)
-        _check_converged(cfg, xnode)
-    theta = adam_step(theta, grads, state)
-    return theta, loss.value.item()
-
-
-def _predict_vector(cfg, module, theta, z: Tensor, post_sigmoid, is_fpi,
-                    stats: SolveStats | None = None) -> Tensor:
-    if is_fpi:
-        res = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta,
-                          fpi_config(cfg))
-        if stats is not None:
-            stats.record_result(res)
-        out = res.x_hat
+        out = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta,
+                          fpi_config(cfg)).x_hat
     else:
         out = module.apply(T.zeros(module.state_shape(z)), z, theta)
     return T.sigmoid(out) if post_sigmoid else out
@@ -305,6 +261,111 @@ def _flag_convergence(run_id, log, rows, total_stats: SolveStats, final_epoch):
     if flagged:
         log.say(f"WARNING {run_id}: {100 * rate:.2f}% of forward solves failed to "
                 f"converge; results are suspect")
+
+
+@dataclass
+class _Run:
+    """One training run as ``_fit`` drives it.
+
+    ``examples(idx, epoch)`` turns one batch of shuffled example indices into
+    (input, target) pairs; each pair gets its own graph, and the batch
+    gradient is the mean over the pairs.  ``evaluate(theta)`` scores the
+    parameters after every epoch; with ``keep_best`` the highest-scoring
+    epoch's parameters are saved, otherwise the last epoch's.
+    ``finish(last, kept, best)`` returns the rows and parameter-blob header
+    entries reported once, after the last epoch; ``best`` is (score, epoch).
+    """
+
+    run_id: str
+    model: str
+    module: GModule
+    is_fpi: bool                  # False: one application of the module
+    stream: int                   # init RNG stream; shuffling uses stream + 1
+    n_train: int
+    examples: Callable[[np.ndarray, int], Iterable[tuple[Tensor, Tensor]]]
+    loss: str                     # "mse" or "bce", also the train metric
+    post_sigmoid: bool
+    evaluate: Callable[[Parameters], float]
+    score: tuple[str, str]        # (split, metric) of the evaluate rows
+    epoch_line: str               # log format with {train} and {score}
+    keep_best: bool
+    finish: Callable | None = None
+
+
+def _fit(cfg: ExperimentConfig, run: _Run, log: RunLog) -> list[tuple]:
+    """Train ``run.module`` with Adam, one step per batch; returns the metric
+    rows and saves the kept parameters as ``params-<run_id>.bin``."""
+    module, names = run.module, run.module.param_names
+    theta = module.init_params(cfg.init_scale, np.random.default_rng([cfg.seed, run.stream]))
+    state = AdamState(lr=cfg.lr)
+    shuffle_rng = np.random.default_rng([cfg.seed, run.stream + 1])
+    solver = fpi_config(cfg)
+    rows: list[tuple] = []
+    total_stats = SolveStats()
+    best, best_theta = (-np.inf, 0), theta
+    for epoch in range(1, cfg.epochs + 1):
+        stats = SolveStats()
+        losses = []
+        order = shuffle_rng.permutation(run.n_train)
+        for start in range(0, run.n_train, cfg.batch_size):
+            acc = {n: np.zeros(theta[n].shape) for n in names}
+            pairs, batch_loss = 0, 0.0
+            for z, target in run.examples(order[start : start + cfg.batch_size], epoch):
+                # built inline, so each pair's graph lives until the next replaces
+                # it: freeing it first (in a helper) doubled the minor page faults
+                # of desk denoise runs, as glibc trimmed and re-faulted the heap top
+                g = Graph()
+                znode = g.leaf(z)
+                tnodes = {n: g.leaf(theta[n]) for n in names}
+                if run.is_fpi:
+                    xnode = fpi_layer(g, module, znode, tnodes, solver)
+                else:
+                    xnode = module.build(g, g.leaf(T.zeros(module.state_shape(z))), znode,
+                                         tnodes)
+                pred = g.sigmoid(xnode) if run.post_sigmoid else xnode
+                build_loss = build_mse if run.loss == "mse" else build_bce
+                loss = build_loss(g, pred, g.leaf(target))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)   # counted in stats
+                    grads_map = backward(g, loss)
+                for n in names:
+                    gn = grads_map.get(tnodes[n].id)
+                    if gn is not None:
+                        acc[n] += gn.data
+                pairs += 1
+                batch_loss += loss.value.item()
+                if run.is_fpi:
+                    stats.record_node(xnode)
+                    res = xnode.attrs["result"]
+                    if not res.converged and cfg.on_unconverged == "abort":
+                        raise RuntimeError(f"forward solve failed to converge (residual "
+                                           f"{res.residual:.3e}); aborting per policy")
+            grads = Parameters({n: Tensor(acc[n] / pairs) for n in names})
+            if cfg.grad_clamp_norm > 0:
+                grads = grad_clamp(grads, cfg.grad_clamp_norm)
+            theta = adam_step(theta, grads, state)
+            losses.append(batch_loss / pairs)
+        score = run.evaluate(theta)
+        if run.keep_best and score > best[0]:
+            best, best_theta = (score, epoch), theta
+        rows.append((run.run_id, epoch, "train", run.loss, float(np.mean(losses))))
+        rows.append((run.run_id, epoch, *run.score, score))
+        rows.extend(stats.rows(run.run_id, epoch))
+        total_stats.merge(stats)
+        log.say(f"[{run.run_id}] epoch {epoch:3d}  "
+                + run.epoch_line.format(train=np.mean(losses), score=score))
+    _flag_convergence(run.run_id, log, rows, total_stats, cfg.epochs)
+    kept = best_theta if run.keep_best else theta
+    meta = {"task": cfg.task, "model": run.model, "seed": cfg.seed}
+    if run.keep_best:
+        meta["best_epoch"] = best[1]
+    if run.finish is not None:
+        extra_rows, extra_meta = run.finish(theta, kept, best)
+        rows.extend(extra_rows)
+        meta.update(extra_meta)
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    save_parameters(os.path.join(cfg.out_dir, f"params-{run.run_id}.bin"), kept, meta=meta)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -335,34 +396,17 @@ def run_toybox(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
             f"test={cfg.n_test} epochs={cfg.epochs} tol={cfg.tol:g}")
     z_train, t_train, z_test, t_test = _toybox_data(cfg)
     module = _toybox_module(cfg)
-    theta = module.init_params(cfg.init_scale, np.random.default_rng([cfg.seed, 1]))
-    state = AdamState(lr=cfg.lr)
-    shuffle_rng = np.random.default_rng([cfg.seed, 2])
     is_fpi = cfg.model != "feedforward"
-    rows: list[tuple] = []
-    total_stats = SolveStats()
-    for epoch in range(1, cfg.epochs + 1):
-        stats = SolveStats()
-        losses = []
-        for idx in _column_batches(cfg.n_train, cfg.batch_size, shuffle_rng):
-            zb = Tensor(z_train[:, idx])
-            tb = Tensor(t_train[:, idx])
-            theta, loss = _train_step_vector(cfg, module, theta, state, zb, tb,
-                                             "mse", False, stats, is_fpi)
-            losses.append(loss)
+
+    def evaluate(theta):
         pred = _batched_prediction(cfg, module, theta, z_test, False, is_fpi)
-        test_mse = mse_loss(Tensor(pred), Tensor(t_test)).item()
-        rows.append((run_id, epoch, "train", "mse", float(np.mean(losses))))
-        rows.append((run_id, epoch, "test", "mse", test_mse))
-        rows.extend(stats.rows(run_id, epoch))
-        total_stats.merge(stats)
-        log.say(f"[{run_id}] epoch {epoch:3d}  train mse {np.mean(losses):.6f}  "
-                f"test mse {test_mse:.6f}")
-    _flag_convergence(run_id, log, rows, total_stats, cfg.epochs)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_parameters(os.path.join(cfg.out_dir, f"params-{run_id}.bin"), theta,
-                    meta={"task": "toybox", "model": cfg.model, "seed": cfg.seed})
-    return rows
+        return mse_loss(Tensor(pred), Tensor(t_test)).item()
+
+    return _fit(cfg, _Run(
+        run_id, cfg.model, module, is_fpi, stream=1, n_train=cfg.n_train,
+        examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
+        loss="mse", post_sigmoid=False, evaluate=evaluate, score=("test", "mse"),
+        epoch_line="train mse {train:.6f}  test mse {score:.6f}", keep_best=False), log)
 
 
 # ---------------------------------------------------------------------------
@@ -377,73 +421,30 @@ def _noisy(clean: np.ndarray, sigma: float, seed_parts: list[int]) -> Tensor:
 def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test, log) -> list[tuple]:
     run_id = f"denoise-{model_kind}-s{sigma:g}-seed{cfg.seed}"
     module = ConvG(channels=cfg.channels)
-    theta = module.init_params(cfg.init_scale, np.random.default_rng([cfg.seed, 11]))
-    state = AdamState(lr=cfg.lr)
-    shuffle_rng = np.random.default_rng([cfg.seed, 12])
     is_fpi = model_kind == "fpi_nn"
-    solver = fpi_config(cfg)
     test_noisy = [_noisy(img, sigma, [cfg.seed, 13, i]) for i, img in enumerate(images_test)]
-    rows: list[tuple] = []
-    total_stats = SolveStats()
-    best = (-np.inf, 0)
-    best_theta = theta
-    for epoch in range(1, cfg.epochs + 1):
-        stats = SolveStats()
-        losses = []
-        order = shuffle_rng.permutation(len(images_train))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            acc = {n: np.zeros(theta[n].shape) for n in module.param_names}
-            batch_loss = 0.0
-            for i in batch:
-                clean = Tensor(images_train[i][None])
-                noisy = _noisy(images_train[i], sigma, [cfg.seed, 14, epoch, int(i)])
-                g = Graph()
-                znode = g.leaf(noisy)
-                tnodes = {n: g.leaf(theta[n]) for n in module.param_names}
-                if is_fpi:
-                    xnode = fpi_layer(g, module, znode, tnodes, solver)
-                else:
-                    xnode = module.build(g, g.leaf(T.zeros(noisy.shape)), znode, tnodes)
-                loss = build_mse(g, xnode, g.leaf(clean))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    grads_map = backward(g, loss)
-                for n in module.param_names:
-                    gn = grads_map.get(tnodes[n].id)
-                    if gn is not None:
-                        acc[n] += gn.data
-                batch_loss += loss.value.item()
-                if is_fpi:
-                    stats.record_node(xnode)
-                    _check_converged(cfg, xnode)
-            grads = Parameters({n: Tensor(acc[n] / len(batch)) for n in module.param_names})
-            if cfg.grad_clamp_norm > 0:
-                grads = grad_clamp(grads, cfg.grad_clamp_norm)
-            theta = adam_step(theta, grads, state)
-            losses.append(batch_loss / len(batch))
-        psnrs = []
-        for i, clean in enumerate(images_test):
-            out = _predict_vector(cfg, module, theta, test_noisy[i], False, is_fpi)
-            psnrs.append(psnr(out, Tensor(clean[None]), peak=1.0))
-        test_psnr = float(np.mean(psnrs))
-        if test_psnr > best[0]:
-            best = (test_psnr, epoch)
-            best_theta = theta
-        rows.append((run_id, epoch, "train", "mse", float(np.mean(losses))))
-        rows.append((run_id, epoch, "test", "psnr", test_psnr))
-        rows.extend(stats.rows(run_id, epoch))
-        total_stats.merge(stats)
-        log.say(f"[{run_id}] epoch {epoch:3d}  train mse {np.mean(losses):.6f}  "
-                f"test psnr {test_psnr:.3f} dB")
-    rows.append((run_id, cfg.epochs, "test", "psnr_best", best[0]))
-    rows.append((run_id, cfg.epochs, "test", "psnr_best_epoch", float(best[1])))
-    _flag_convergence(run_id, log, rows, total_stats, cfg.epochs)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_parameters(os.path.join(cfg.out_dir, f"params-{run_id}.bin"), best_theta,
-                    meta={"task": "denoise", "model": model_kind, "sigma": sigma,
-                          "seed": cfg.seed, "best_epoch": best[1]})
-    return rows
+
+    def examples(idx, epoch):
+        # one image per pair, its noise drawn afresh every epoch
+        for i in idx:
+            clean = Tensor(images_train[i][None])
+            yield _noisy(images_train[i], sigma, [cfg.seed, 14, epoch, int(i)]), clean
+
+    def evaluate(theta):
+        return float(np.mean([psnr(_predict_vector(cfg, module, theta, z, False, is_fpi),
+                                   Tensor(clean[None]), peak=1.0)
+                              for z, clean in zip(test_noisy, images_test)]))
+
+    def finish(last, kept, best):
+        return ([(run_id, cfg.epochs, "test", "psnr_best", best[0]),
+                 (run_id, cfg.epochs, "test", "psnr_best_epoch", float(best[1]))],
+                {"sigma": sigma})
+
+    return _fit(cfg, _Run(
+        run_id, model_kind, module, is_fpi, stream=11, n_train=len(images_train),
+        examples=examples, loss="mse", post_sigmoid=False, evaluate=evaluate,
+        score=("test", "psnr"), epoch_line="train mse {train:.6f}  test psnr {score:.3f} dB",
+        keep_best=True, finish=finish), log)
 
 
 def run_denoise(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
@@ -489,9 +490,6 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
     run_id = f"multilabel-{model_kind}-seed{cfg.seed}"
     cfg = _multilabel_solver(cfg, model_kind)
     module, post_sigmoid = _multilabel_module(cfg, model_kind)
-    theta = module.init_params(cfg.init_scale, np.random.default_rng([cfg.seed, 21]))
-    state = AdamState(lr=cfg.lr)
-    shuffle_rng = np.random.default_rng([cfg.seed, 22])
     z_train = train.features.data.T
     t_train = train.labels.data.T
     n = z_train.shape[1]
@@ -499,56 +497,34 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
     val_idx = np.random.default_rng([cfg.seed, 23]).permutation(n)[:n_val]
     log.say(f"[{run_id}] {n} train samples ({n_val} for threshold selection), "
             f"{test.n_samples} test, tol={cfg.tol:g} ({cfg.criterion})")
-    rows: list[tuple] = []
-    total_stats = SolveStats()
-    best = (-1.0, 0)
-    best_theta = theta
-    for epoch in range(1, cfg.epochs + 1):
-        stats = SolveStats()
-        losses = []
-        for idx in _column_batches(n, cfg.batch_size, shuffle_rng):
-            zb = Tensor(z_train[:, idx])
-            tb = Tensor(t_train[:, idx])
-            theta, loss = _train_step_vector(cfg, module, theta, state, zb, tb,
-                                             "bce", post_sigmoid, stats, True)
-            losses.append(loss)
-        val_scores = _batched_prediction(cfg, module, theta, z_train[:, val_idx],
-                                         post_sigmoid, True)
-        val_f1 = f1_score(Tensor((val_scores >= 0.5).astype(np.float64)),
-                          Tensor(t_train[:, val_idx]))
-        if val_f1 > best[0]:
-            best = (val_f1, epoch)
-            best_theta = theta
-        rows.append((run_id, epoch, "train", "bce", float(np.mean(losses))))
-        rows.append((run_id, epoch, "val", "f1_at_0.5", val_f1))
-        rows.extend(stats.rows(run_id, epoch))
-        total_stats.merge(stats)
-        log.say(f"[{run_id}] epoch {epoch:3d}  train bce {np.mean(losses):.5f}  "
-                f"val f1@0.5 {val_f1:.4f}")
-    # threshold swept on the validation slice with the selected parameters
-    val_scores = _batched_prediction(cfg, module, best_theta, z_train[:, val_idx],
-                                     post_sigmoid, True)
-    tau = select_threshold(Tensor(val_scores), Tensor(t_train[:, val_idx]))
-    test_scores = _batched_prediction(cfg, module, best_theta, test.features.data.T,
-                                      post_sigmoid, True)
-    test_f1 = f1_score(Tensor((test_scores >= tau).astype(np.float64)),
-                       Tensor(test.labels.data.T))
-    last_scores = _batched_prediction(cfg, module, theta, test.features.data.T,
-                                      post_sigmoid, True)
-    last_f1 = f1_score(Tensor((last_scores >= tau).astype(np.float64)),
-                       Tensor(test.labels.data.T))
-    rows.append((run_id, cfg.epochs, "test", "f1", test_f1))
-    rows.append((run_id, cfg.epochs, "test", "f1_last_epoch", last_f1))
-    rows.append((run_id, cfg.epochs, "val", "threshold", tau))
-    rows.append((run_id, cfg.epochs, "val", "f1_best_epoch", float(best[1])))
-    _flag_convergence(run_id, log, rows, total_stats, cfg.epochs)
-    log.say(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
-            f"(best epoch {best[1]}), last-epoch f1 {100 * last_f1:.1f}")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    save_parameters(os.path.join(cfg.out_dir, f"params-{run_id}.bin"), best_theta,
-                    meta={"task": "multilabel", "model": model_kind, "seed": cfg.seed,
-                          "threshold": tau, "best_epoch": best[1]})
-    return rows
+    z_val, t_val = z_train[:, val_idx], Tensor(t_train[:, val_idx])
+    t_test = Tensor(test.labels.data.T)
+
+    def f1_at(theta, z, target, tau):
+        scores = _batched_prediction(cfg, module, theta, z, post_sigmoid, True)
+        return f1_score(Tensor((scores >= tau).astype(np.float64)), target)
+
+    def finish(last, kept, best):
+        # threshold swept on the validation slice with the selected parameters
+        val_scores = _batched_prediction(cfg, module, kept, z_val, post_sigmoid, True)
+        tau = select_threshold(Tensor(val_scores), t_val)
+        test_f1 = f1_at(kept, test.features.data.T, t_test, tau)
+        last_f1 = f1_at(last, test.features.data.T, t_test, tau)
+        log.say(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
+                f"(best epoch {best[1]}), last-epoch f1 {100 * last_f1:.1f}")
+        return ([(run_id, cfg.epochs, "test", "f1", test_f1),
+                 (run_id, cfg.epochs, "test", "f1_last_epoch", last_f1),
+                 (run_id, cfg.epochs, "val", "threshold", tau),
+                 (run_id, cfg.epochs, "val", "f1_best_epoch", float(best[1]))],
+                {"threshold": tau})
+
+    return _fit(cfg, _Run(
+        run_id, model_kind, module, True, stream=21, n_train=n,
+        examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
+        loss="bce", post_sigmoid=post_sigmoid,
+        evaluate=lambda theta: f1_at(theta, z_val, t_val, 0.5), score=("val", "f1_at_0.5"),
+        epoch_line="train bce {train:.5f}  val f1@0.5 {score:.4f}", keep_best=True,
+        finish=finish), log)
 
 
 def run_multilabel(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import enum
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .graph import FunctionObject, Graph, Node, backward, partial_diff, register_vjp, vjp
-from .layers import EnergyNet, GModule, Parameters
+from .graph import FunctionObject, Graph, Node, backward, register_vjp, vjp
+from .layers import GModule, Parameters
 from .tensor import NumericsError, ShapeError, Tensor
 
 
@@ -46,12 +46,10 @@ class FpiConfig:
     tol: float = 1e-8
     criterion: Criterion = Criterion.RELATIVE_BETA
     max_iter: int = 500
-    gamma: float = 1.0                 # step size where g is a descent step
-    record_trajectory: bool = False    # oracle use only
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter < 1 or self.gamma <= 0:
-            raise ValueError("FpiConfig needs tol > 0, max_iter >= 1, gamma > 0")
+        if self.tol <= 0 or self.max_iter < 1:
+            raise ValueError("FpiConfig needs tol > 0, max_iter >= 1")
 
 
 @dataclass
@@ -60,7 +58,6 @@ class FixedPointResult:
     iterations: int
     converged: bool
     residual: float
-    trajectory: list[Tensor] | None = None
 
 
 @dataclass
@@ -100,7 +97,6 @@ def forward_fpi(g, x0: Tensor, z, theta, cfg: FpiConfig) -> FixedPointResult:
     caller.
     """
     x = T.as_tensor(x0)
-    trajectory = [x] if cfg.record_trajectory else None
     residual = float("inf")
     for n in range(1, cfg.max_iter + 1):
         try:
@@ -111,11 +107,9 @@ def forward_fpi(g, x0: Tensor, z, theta, cfg: FpiConfig) -> FixedPointResult:
             raise ShapeError(f"g changed the state shape: {x.shape} -> {x_next.shape}")
         ok, residual = convergence_check(x, x_next, cfg)
         x = x_next
-        if trajectory is not None:
-            trajectory.append(x)
         if ok:
-            return FixedPointResult(x, n, True, residual, trajectory)
-    return FixedPointResult(x, cfg.max_iter, False, residual, trajectory)
+            return FixedPointResult(x, n, True, residual)
+    return FixedPointResult(x, cfg.max_iter, False, residual)
 
 
 class _CotangentIteration:
@@ -178,7 +172,7 @@ def backward_fpi(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
     if grad_out.shape != x_hat.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != state shape {x_hat.shape}")
     it = _CotangentIteration(g, x_hat, z, theta, grad_out)
-    c_cfg = replace(cfg, criterion=Criterion.ABSOLUTE_BETA, record_trajectory=False)
+    c_cfg = replace(cfg, criterion=Criterion.ABSOLUTE_BETA)
     try:
         res = forward_fpi(it, T.zeros(x_hat.shape), None, None, c_cfg)
     except DivergenceError as exc:
@@ -192,21 +186,6 @@ def backward_fpi(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
     grad_theta, grad_z = it.final_grads(res.x_hat)
     return BackwardFpiResult(grad_theta, grad_z, res.iterations,
                              res.converged, res.residual)
-
-
-def fpi_gd_step(f: EnergyNet, x: Tensor, z: Tensor, theta: Parameters,
-                gamma: float) -> Tensor:
-    """One gradient-descent step x - gamma * df/dx on a scalar energy.
-
-    The derivative is taken through the partial-differentiation operator so
-    the parameters are held fixed inside the step; the result plugs into
-    forward_fpi/backward_fpi like any other update map.
-    """
-    g = Graph()
-    s = {"x": g.leaf(x), "z": g.leaf(z),
-         **{n: g.leaf(theta[n]) for n in f.param_names}}
-    (grad_x,) = partial_diff(g, s, f.function_object(), wrt=["x"])
-    return g.sub(s["x"], g.scale(grad_x, gamma)).value
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ uniqueness, backward convergence rate, descent stationarity, second
 derivatives, and memory behavior.
 
 Every check compares an observed quantity against an explicit threshold and
-reports one row, so the CLI can print a pass/fail table and the acceptance
-tests can assert on the same rows.
+reports one outcome, so the CLI can print a pass/fail table and the
+acceptance tests can assert on the same outcomes.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ class CheckOutcome:
     passed: bool
     observed: float
     threshold: float
-
-    def row(self) -> tuple:
-        return (self.name, "PASS" if self.passed else "FAIL", self.observed, self.threshold)
 
 
 @dataclass

@@ -2,16 +2,13 @@
 
 The differentiation rules are themselves expressed as graph operations, so a
 gradient is an ordinary node and can be differentiated again.  On top of the
-plain reverse sweep this module provides the three operators that make
-partial differentiation work when arguments are interdependent:
-
-* ``detach_clone`` copies nodes into fresh leaves that block gradient flow,
-* ``partial_diff`` evaluates a function object on an independent graph built
-  from detached clones, differentiates it there, and re-attaches the partial
-  derivatives to the caller's graph as differentiable outputs,
-* ``inner_builder`` turns fixed cotangents plus a multi-output function
-  object into the scalar inner-product function used to backpropagate
-  through ``partial_diff``.
+plain reverse sweep this module provides ``partial_diff``, which makes
+partial differentiation work when arguments are interdependent: it evaluates
+a function object on an independent graph whose leaves hold copies of the
+arguments' values (so no gradient flows back through them), differentiates
+it there, and re-attaches the partial derivatives to the caller's graph as
+differentiable outputs.  Their backward rule contracts the incoming gradient
+with the derivatives on the retained independent graph.
 """
 
 from __future__ import annotations
@@ -125,9 +122,6 @@ class Graph:
     def leaf(self, value) -> Node:
         return self._append("leaf", (), T.as_tensor(value))
 
-    def scalar(self, value: float) -> Node:
-        return self.leaf(Tensor(float(value)))
-
     # -- elementwise -------------------------------------------------------
 
     def add(self, a: Node, b: Node) -> Node:
@@ -159,9 +153,6 @@ class Graph:
 
     def clip(self, a: Node, lo: float, hi: float) -> Node:
         return self._append("clip", (a,), T.clip(a.value, lo, hi), {"lo": lo, "hi": hi})
-
-    def clamp_box(self, a: Node) -> Node:
-        return self.clip(a, -1.0, 1.0)
 
     def gt_zero_mask(self, a: Node) -> Node:
         return self._append("gt_zero_mask", (a,), Tensor((a.value.data > 0).astype(np.float64)))
@@ -484,35 +475,6 @@ class FunctionObject:
 
     def __repr__(self):
         return f"FunctionObject({self.name}, inputs={self.input_names})"
-
-
-def detach_clone(graph: Graph, nodes: Sequence[Node]) -> list[Node]:
-    """Clone nodes into fresh leaves of ``graph``; no gradient flows back."""
-    return [graph.leaf(n.value) for n in nodes]
-
-
-def inner_builder(v: Sequence[Node | Tensor], u: FunctionObject) -> FunctionObject:
-    """Function object computing ``sum_i <v_i, u_i(.)>`` with v held constant.
-
-    The cotangents ``v`` are snapshotted by value and enter any built graph as
-    detached leaves, so no derivatives are ever produced for them.
-    """
-    v_vals = [n.value if isinstance(n, Node) else T.as_tensor(n) for n in v]
-
-    def recipe(g: Graph, inputs: dict[str, Node]):
-        outs = u.build(g, inputs)
-        if len(outs) != len(v_vals):
-            raise ShapeError(f"inner_builder arity mismatch: {len(v_vals)} cotangents "
-                             f"vs {len(outs)} outputs")
-        total = None
-        for val, out in zip(v_vals, outs):
-            if val.shape != out.shape:
-                raise ShapeError(f"cotangent shape {val.shape} != output shape {out.shape}")
-            term = g.dot(g.leaf(val), out)
-            total = term if total is None else g.add(total, term)
-        return total
-
-    return FunctionObject(u.input_names, recipe, name=f"inner<{u.name}>")
 
 
 # ---------------------------------------------------------------------------

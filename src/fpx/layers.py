@@ -9,8 +9,6 @@ through one fixed-point solve.  Image modules use single samples (C, H, W).
 from __future__ import annotations
 
 import json
-import struct
-from typing import Sequence
 
 import numpy as np
 
@@ -147,7 +145,8 @@ def lipschitz_project(params: Parameters, k: float,
 
 
 class GModule:
-    """Interface for update maps: apply(x, z, params) with output shaped like x."""
+    """Interface for modules of (x, z, params): update maps, whose output is
+    shaped like x, and the scalar energies that ``GdG`` descends."""
 
     param_names: tuple[str, ...] = ()
 
@@ -234,13 +233,6 @@ class MlpG(GModule):
         return g.sigmoid(out) if self.final_sigmoid else out
 
 
-def mlp_g(x: Tensor, z: Tensor, params: Parameters, hidden: int | None = None) -> Tensor:
-    """Single application of the fully-connected update map."""
-    h = hidden if hidden is not None else params["w1"].shape[0]
-    module = MlpG(x.shape[0], z.shape[0], h)
-    return module.apply(x, z, params)
-
-
 class ConvG(GModule):
     """Two 3x3 convolutions on the channel-concatenated image pair.
 
@@ -271,12 +263,7 @@ class ConvG(GModule):
         return g.add(y, g.tile_hw(params["b2"], h, w))
 
 
-def conv_g(x: Tensor, z: Tensor, params: Parameters) -> Tensor:
-    """Single application of the convolutional update map."""
-    return ConvG(channels=params["k1"].shape[0]).apply(x, z, params)
-
-
-class EnergyNet:
+class EnergyNet(GModule):
     """Scalar energy: fully-connected layers on [x; z] into a mean-squared head.
 
     One hidden layer by default (relu(W1 . [x; z] + b1) feeding the head);
@@ -302,9 +289,6 @@ class EnergyNet:
             shapes["b2"] = (self.body_dim,)
         return shapes
 
-    def init_params(self, scale: float, rng: np.random.Generator) -> Parameters:
-        return init_small(self.param_shapes(), scale, rng)
-
     def build(self, g: Graph, x: Node, z: Node, params: dict[str, Node]) -> Node:
         xz = g.concat([x, z], axis=0)
         y = g.relu(_affine(g, params["w1"], xz, params["b1"]))
@@ -312,22 +296,6 @@ class EnergyNet:
             y = _affine(g, params["w2"], y, params["b2"])
         rows = y.shape[0]
         return g.scale(g.sq_norm(y), 1.0 / rows)
-
-    def function_object(self) -> FunctionObject:
-        def recipe(g, inputs):
-            params = {n: inputs[n] for n in self.param_names}
-            return self.build(g, inputs["x"], inputs["z"], params)
-        return FunctionObject(["x", "z", *self.param_names], recipe, name="EnergyNet")
-
-    def apply(self, x: Tensor, z: Tensor, params: Parameters) -> Tensor:
-        g = Graph()
-        nodes = {name: g.leaf(params[name]) for name in self.param_names}
-        return self.build(g, g.leaf(x), g.leaf(z), nodes).value
-
-
-def energy_net(x: Tensor, z: Tensor, params: Parameters) -> Tensor:
-    """Single-hidden-layer energy evaluation (scalar, always >= 0)."""
-    return EnergyNet(x.shape[0], z.shape[0], params["w1"].shape[0]).apply(x, z, params)
 
 
 class GdG(GModule):

@@ -101,10 +101,6 @@ def ones(shape) -> Tensor:
     return Tensor(np.ones(shape))
 
 
-def full(shape, value: float) -> Tensor:
-    return Tensor(np.full(shape, float(value)))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -312,31 +308,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _wrap(np.clip(a.data, lo, hi))
 
 
-def clamp_box(a: Tensor) -> Tensor:
-    """Clip every entry to the box [-1, 1]."""
-    return clip(a, -1.0, 1.0)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "scale": scale,
-    "clamp_box": clamp_box,
-}
-
-
-def elementwise(op: str, *operands) -> Tensor:
-    """Dispatch an elementwise kernel by name."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(*operands)
-
-
 # ---------------------------------------------------------------------------
 # reductions and structural kernels
 
@@ -351,23 +322,6 @@ def reduce_mean(a: Tensor) -> Tensor:
     if a.size == 0:
         raise ShapeError("mean of an empty tensor")
     return _wrap(np.asarray(a.data.mean()))
-
-
-@_quiet
-def sq_norm(a: Tensor) -> Tensor:
-    """Sum of squared entries (squared L2 norm over the whole tensor)."""
-    return _wrap(np.asarray(np.sum(a.data * a.data)))
-
-
-_REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "sq_norm": sq_norm}
-
-
-def reduce(op: str, a: Tensor) -> Tensor:
-    try:
-        fn = _REDUCE[op]
-    except KeyError:
-        raise ValueError(f"unknown reduction {op!r}") from None
-    return fn(a)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:

@@ -53,6 +53,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_config("florp")
 
+    def test_unknown_unconverged_policy_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="abrot"):
+            make_config("toybox", on_unconverged="abrot")
+        path = tmp_path / "run.ini"
+        path.write_text("[experiment]\non_unconverged = ignore\n")
+        with pytest.raises(ValueError, match="ignore"):
+            make_config("toybox", str(path))
+        assert make_config("toybox", on_unconverged="abort").on_unconverged == "abort"
+
 
 class TestEmitMetrics:
     def test_empty_rows_give_header_only(self, tmp_path):
@@ -84,9 +93,36 @@ class TestEmitMetrics:
         assert a.read_bytes() == b.read_bytes()
 
 
-def _tiny_toybox(model, out, seed=0, epochs=2):
-    return make_config("toybox", model=model, n_train=200, n_test=60, epochs=epochs,
-                       hidden=16, out_dir=str(out), seed=seed)
+def _tiny_config(task, tmp_path, out, **overrides):
+    """Config of a seconds-long ``task`` run writing to ``out``; its data is
+    made under ``tmp_path`` on first use."""
+    if task == "toybox":
+        sizes = dict(model="fpi_nn", n_train=200, n_test=60, epochs=2, hidden=16)
+    elif task == "denoise":
+        corpus = tmp_path / "imgs"
+        if not corpus.exists():
+            generate_synthetic_corpus(corpus, 10, 20, seed=5)
+        sizes = dict(corpus=str(corpus), crop=16, n_train_images=6, n_test_images=3,
+                     epochs=2, batch_size=3, channels=4)
+    else:
+        data = tmp_path / "data"
+        if not data.exists():
+            data.mkdir()
+            rng = np.random.default_rng(0)
+            for name, n in (("train.txt", 60), ("test.txt", 30)):
+                with open(data / name, "w") as fh:
+                    for _ in range(n):
+                        feats = sorted(rng.choice(20, size=4, replace=False))
+                        labs = sorted(set(int(f) % 6 for f in feats[:2]))
+                        fh.write(",".join(map(str, labs)) + " "
+                                 + " ".join(f"{f}:1" for f in feats) + "\n")
+        sizes = dict(model="both", train_path=str(data / "train.txt"),
+                     test_path=str(data / "test.txt"), n_features=20, n_labels=6,
+                     hidden=8, epochs=2, batch_size=20)
+    return make_config(task, out_dir=str(out), **{**sizes, **overrides})
+
+
+_RUNNERS = {"toybox": run_toybox, "denoise": run_denoise, "multilabel": run_multilabel}
 
 
 class TestRunners:
@@ -99,28 +135,41 @@ class TestRunners:
 
     @pytest.mark.parametrize("model", ["fpi_nn", "fpi_gd", "feedforward"])
     def test_toybox_runs_and_learns(self, tmp_path, model):
-        cfg = _tiny_toybox(model, tmp_path, epochs=3)
+        cfg = _tiny_config("toybox", tmp_path, tmp_path, model=model, epochs=3)
         rows = run_toybox(cfg, RunLog(cfg.out_dir, quiet=True))
         test_mse = [r[4] for r in rows if r[2] == "test" and r[3] == "mse"]
         assert len(test_mse) == 3
         assert all(np.isfinite(v) for v in test_mse)
         assert os.path.exists(tmp_path / f"params-toybox-{model}-seed0.bin")
 
-    def test_toybox_metrics_deterministic(self, tmp_path):
-        files = []
+    @pytest.mark.parametrize("task", ["toybox", "denoise", "multilabel"])
+    def test_metrics_deterministic(self, tmp_path, task):
+        outputs = []
         for name in ("a", "b"):
-            cfg = _tiny_toybox("fpi_nn", tmp_path / name, seed=3)
-            rows = run_toybox(cfg, RunLog(cfg.out_dir, quiet=True))
+            cfg = _tiny_config(task, tmp_path, tmp_path / name, seed=3)
+            rows = _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
             emit_metrics(cfg.metrics_path, rows)
-            files.append(open(cfg.metrics_path, "rb").read())
-        assert files[0] == files[1]
+            outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
+                            if p.suffix in (".csv", ".bin")})
+        assert outputs[0] == outputs[1]
+        assert "metrics.csv" in outputs[0]
+        blobs = [name for name in outputs[0] if name.startswith("params-")]
+        assert len(blobs) == (1 if task == "toybox" else 2)
+
+    @pytest.mark.parametrize("task", ["toybox", "denoise"])
+    def test_unconverged_forward_solve_policy(self, tmp_path, task):
+        cfg = _tiny_config(task, tmp_path, tmp_path / "abort", model="fpi_nn", max_iter=1,
+                           on_unconverged="abort")
+        with pytest.raises(RuntimeError, match="failed to converge"):
+            _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
+        cfg = _tiny_config(task, tmp_path, tmp_path / "warn", model="fpi_nn", max_iter=1,
+                           on_unconverged="warn")
+        rows = _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
+        assert [r[4] for r in rows if r[3] == "convergence_flag"] == [1.0]
+        assert all(r[4] == 1.0 for r in rows if r[3] == "fpi_unconverged_rate")
 
     def test_denoise_runs_both_models(self, tmp_path):
-        corpus = tmp_path / "imgs"
-        generate_synthetic_corpus(corpus, 10, 20, seed=5)
-        cfg = make_config("denoise", corpus=str(corpus), crop=16, n_train_images=6,
-                          n_test_images=3, epochs=2, batch_size=3, channels=4,
-                          out_dir=str(tmp_path / "out"))
+        cfg = _tiny_config("denoise", tmp_path, tmp_path / "out")
         rows = run_denoise(cfg, RunLog(cfg.out_dir, quiet=True))
         run_ids = {r[0] for r in rows}
         assert run_ids == {"denoise-fpi_nn-s25-seed0", "denoise-feedforward-s25-seed0"}
@@ -128,17 +177,7 @@ class TestRunners:
         assert any(r[3] == "fpi_forward_iters" for r in rows)
 
     def test_multilabel_runs_on_synthetic_split(self, tmp_path):
-        rng = np.random.default_rng(0)
-        for name, n in (("train.txt", 60), ("test.txt", 30)):
-            with open(tmp_path / name, "w") as fh:
-                for _ in range(n):
-                    feats = sorted(rng.choice(20, size=4, replace=False))
-                    labs = sorted(set(int(f) % 6 for f in feats[:2]))
-                    fh.write(",".join(map(str, labs)) + " "
-                             + " ".join(f"{f}:1" for f in feats) + "\n")
-        cfg = make_config("multilabel", model="fpi_nn", train_path=str(tmp_path / "train.txt"),
-                          test_path=str(tmp_path / "test.txt"), n_features=20, n_labels=6,
-                          hidden=8, epochs=2, batch_size=20, out_dir=str(tmp_path / "out"))
+        cfg = _tiny_config("multilabel", tmp_path, tmp_path / "out", model="fpi_nn")
         rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
         f1 = [r for r in rows if r[3] == "f1"]
         assert len(f1) == 1 and 0.0 <= f1[0][4] <= 1.0

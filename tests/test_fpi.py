@@ -13,7 +13,6 @@ from fpx.fpi import (
     closed_form_gradient,
     convergence_check,
     forward_fpi,
-    fpi_gd_step,
     fpi_layer,
     spectral_norm_jacobian,
     unrolled_gradient,
@@ -143,14 +142,6 @@ class TestForwardFpi:
             forward_fpi(g, Tensor([[1.0]]), Tensor([[1.0]]), theta, cfg)
         assert exc.value.iteration > 1
 
-    def test_trajectory_recording(self):
-        g = AffineG(1)
-        theta = Parameters({"a": Tensor([[0.5]]), "b": T.zeros(1)})
-        cfg = FpiConfig(tol=1e-8, max_iter=100, record_trajectory=True)
-        res = forward_fpi(g, T.zeros((1, 1)), Tensor([[1.0]]), theta, cfg)
-        assert res.trajectory is not None
-        assert len(res.trajectory) == res.iterations + 1
-
 
 def loss_grad_out(x_hat: Tensor) -> Tensor:
     """d/dx of L(x) = sum(x): all-ones cotangent."""
@@ -241,7 +232,7 @@ class TestFpiGdStep:
                     return g.scale(g.sq_norm(d), 0.5)
                 return FunctionObject(["x", "z"], recipe, name="half_sq")
 
-        out = fpi_gd_step(HalfSq(), x, z, Parameters(), gamma=1.0)
+        out = GdG(HalfSq(), gamma=1.0).apply(x, z, Parameters())
         np.testing.assert_allclose(out.data, z.data, atol=1e-14)
 
     def test_quadratic_contracts_to_zero(self):
@@ -266,7 +257,7 @@ class TestFpiGdStep:
         cfg = FpiConfig(tol=tol, criterion=Criterion.ABSOLUTE_BETA, max_iter=2000)
         res = forward_fpi(gd, T.zeros((3, 1)), z, theta, cfg)
         assert res.converged
-        grad = fpi_gd_step(f, res.x_hat, z, theta, 1.0)  # x - df/dx
+        grad = GdG(f, gamma=1.0).apply(res.x_hat, z, theta)  # x - df/dx
         grad_norm = np.linalg.norm(res.x_hat.data - grad.data)
         assert grad_norm <= np.sqrt(tol) / gamma
 

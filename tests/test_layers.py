@@ -9,12 +9,9 @@ from fpx.layers import (
     GdG,
     MlpG,
     Parameters,
-    conv_g,
-    energy_net,
     init_small,
     lipschitz_project,
     load_parameters,
-    mlp_g,
     save_parameters,
     spectral_norm_conv,
     spectral_norm_matrix,
@@ -94,7 +91,7 @@ class TestConvG:
         theta = g.init_params(1.0, rng)
         x = Tensor(rng.standard_normal((1, 16, 16)))
         z = Tensor(rng.standard_normal((1, 16, 16)))
-        got = conv_g(x, z, theta)
+        got = g.apply(x, z, theta)
         xz = T.concat([x, z], axis=0)
         y1 = T.add(T.conv2d(xz, theta["k1"], 1, 1), T.tile_hw(theta["b1"], 16, 16))
         y2 = T.add(T.conv2d(T.relu(y1), theta["k2"], 1, 1), T.tile_hw(theta["b2"], 16, 16))

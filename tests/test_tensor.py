@@ -222,17 +222,15 @@ class TestElementwise:
         assert out[1] == 1.0
 
     def test_clamp_box(self):
-        out = T.clamp_box(Tensor([2.0, -0.5]))
+        out = T.clip(Tensor([2.0, -0.5]), -1.0, 1.0)
         assert out.data.tolist() == [1.0, -0.5]
 
-    def test_dispatcher_routes_by_name(self):
+    def test_add_sub_mul_scale_values(self):
         a, b = Tensor([1.0, 2.0]), Tensor([3.0, 4.0])
-        assert T.elementwise("add", a, b).data.tolist() == [4.0, 6.0]
-        assert T.elementwise("sub", a, b).data.tolist() == [-2.0, -2.0]
-        assert T.elementwise("mul", a, b).data.tolist() == [3.0, 8.0]
-        assert T.elementwise("scale", a, 2.0).data.tolist() == [2.0, 4.0]
-        with pytest.raises(ValueError):
-            T.elementwise("nope", a)
+        assert T.add(a, b).data.tolist() == [4.0, 6.0]
+        assert T.sub(a, b).data.tolist() == [-2.0, -2.0]
+        assert T.mul(a, b).data.tolist() == [3.0, 8.0]
+        assert T.scale(a, 2.0).data.tolist() == [2.0, 4.0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -246,17 +244,14 @@ class TestElementwise:
 
 class TestReduce:
     def test_sum(self):
-        assert T.reduce("sum", Tensor([1.0, 2.0, 3.0])).item() == 6.0
-
-    def test_sq_norm(self):
-        assert T.reduce("sq_norm", Tensor([3.0, 4.0])).item() == 25.0
+        assert T.reduce_sum(Tensor([1.0, 2.0, 3.0])).item() == 6.0
 
     def test_mean_of_empty_rejected(self):
         with pytest.raises(ShapeError):
-            T.reduce("mean", Tensor(np.zeros(0)))
+            T.reduce_mean(Tensor(np.zeros(0)))
 
     def test_mean(self):
-        assert T.reduce("mean", Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 2.5
+        assert T.reduce_mean(Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 2.5
 
 
 class TestStructure:
