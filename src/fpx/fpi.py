@@ -208,8 +208,8 @@ def spectral_norm_jacobian(g, x_hat: Tensor, z, theta, iters: int = 30,
     inputs = {"x": x_hat, "z": z, **{n: theta[n] for n in g.param_names}}
 
     def jv(v: np.ndarray) -> np.ndarray:
-        plus = _apply_fo(fo, inputs, x_hat, x_hat.data + fd_step * v)
-        minus = _apply_fo(fo, inputs, x_hat, x_hat.data - fd_step * v)
+        plus = g.apply(Tensor(x_hat.data + fd_step * v), z, theta).data
+        minus = g.apply(Tensor(x_hat.data - fd_step * v), z, theta).data
         return (plus - minus) / (2.0 * fd_step)
 
     for _ in range(4):  # bounded restarts on a degenerate start vector
@@ -234,14 +234,6 @@ def spectral_norm_jacobian(g, x_hat: Tensor, z, theta, iters: int = 30,
         if not dead:
             return float(np.linalg.norm(jv(v)))
     return 0.0  # g is locally constant in x
-
-
-def _apply_fo(fo: FunctionObject, inputs: dict, x_hat: Tensor, x_data: np.ndarray) -> np.ndarray:
-    g = Graph()
-    nodes = {}
-    for name, val in inputs.items():
-        nodes[name] = g.leaf(Tensor(x_data) if name == "x" else val)
-    return fo.build(g, nodes)[0].value.data
 
 
 # ---------------------------------------------------------------------------

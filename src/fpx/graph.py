@@ -9,6 +9,13 @@ arguments' values (so no gradient flows back through them), differentiates
 it there, and re-attaches the partial derivatives to the caller's graph as
 differentiable outputs.  Their backward rule contracts the incoming gradient
 with the derivatives on the retained independent graph.
+
+Each differentiable kernel of ``fpx.tensor`` is one row of ``_OPS``: its
+kind, which is the kernel's name, the names of the kernel arguments that
+follow the node operands (the node keeps them as attrs) and its VJP rule.
+The table sets the ``Graph`` method of that name and fills the rule
+registry; only ``leaf``, ``concat`` and the compositions ``mean``,
+``sq_norm`` and ``dot`` are written out as methods.
 """
 
 from __future__ import annotations
@@ -117,107 +124,14 @@ class Graph:
         """
         del self.nodes[mark:]
 
-    # -- leaves ------------------------------------------------------------
+    # -- leaves, concat and compositions; the op table sets the other ops ---
 
     def leaf(self, value) -> Node:
         return self._append("leaf", (), T.as_tensor(value))
 
-    # -- elementwise -------------------------------------------------------
-
-    def add(self, a: Node, b: Node) -> Node:
-        return self._append("add", (a, b), T.add(a.value, b.value))
-
-    def sub(self, a: Node, b: Node) -> Node:
-        return self._append("sub", (a, b), T.sub(a.value, b.value))
-
-    def mul(self, a: Node, b: Node) -> Node:
-        return self._append("mul", (a, b), T.mul(a.value, b.value))
-
-    def scale(self, a: Node, factor: float) -> Node:
-        return self._append("scale", (a,), T.scale(a.value, factor), {"factor": float(factor)})
-
-    def offset(self, a: Node, amount: float) -> Node:
-        return self._append("offset", (a,), T.offset(a.value, amount), {"amount": float(amount)})
-
-    def relu(self, a: Node) -> Node:
-        return self._append("relu", (a,), T.relu(a.value))
-
-    def sigmoid(self, a: Node) -> Node:
-        return self._append("sigmoid", (a,), T.sigmoid(a.value))
-
-    def log(self, a: Node) -> Node:
-        return self._append("log", (a,), T.log(a.value))
-
-    def recip(self, a: Node) -> Node:
-        return self._append("recip", (a,), T.recip(a.value))
-
-    def clip(self, a: Node, lo: float, hi: float) -> Node:
-        return self._append("clip", (a,), T.clip(a.value, lo, hi), {"lo": lo, "hi": hi})
-
-    def gt_zero_mask(self, a: Node) -> Node:
-        return self._append("gt_zero_mask", (a,), Tensor((a.value.data > 0).astype(np.float64)))
-
-    def inband_mask(self, a: Node, lo: float, hi: float) -> Node:
-        mask = ((a.value.data >= lo) & (a.value.data <= hi)).astype(np.float64)
-        return self._append("inband_mask", (a,), Tensor(mask))
-
-    # -- linear algebra ----------------------------------------------------
-
-    def matmul(self, a: Node, b: Node) -> Node:
-        return self._append("matmul", (a, b), T.matmul(a.value, b.value))
-
-    def transpose(self, a: Node) -> Node:
-        return self._append("transpose", (a,), T.transpose(a.value))
-
-    def conv2d(self, x: Node, k: Node, stride: int = 1, padding: int = 0) -> Node:
-        value = T.conv2d(x.value, k.value, stride, padding)
-        return self._append("conv2d", (x, k), value, {"stride": stride, "padding": padding})
-
-    def conv2d_grad_input(self, seed: Node, k: Node, stride: int = 1, padding: int = 0) -> Node:
-        value = T.conv2d_grad_input(seed.value, k.value, stride, padding)
-        return self._append("conv2d_grad_input", (seed, k), value,
-                            {"stride": stride, "padding": padding})
-
-    def conv2d_grad_kernel(self, seed: Node, x: Node, kernel_hw: tuple[int, int],
-                           stride: int = 1, padding: int = 0) -> Node:
-        value = T.conv2d_grad_kernel(seed.value, x.value, kernel_hw, stride, padding)
-        return self._append("conv2d_grad_kernel", (seed, x), value,
-                            {"stride": stride, "padding": padding, "kernel_hw": kernel_hw})
-
-    # -- structure ---------------------------------------------------------
-
     def concat(self, parts: Sequence[Node], axis: int = 0) -> Node:
         value = T.concat([p.value for p in parts], axis)
-        splits = [p.shape[axis] for p in parts]
-        return self._append("concat", tuple(parts), value, {"axis": axis, "splits": splits})
-
-    def narrow(self, a: Node, axis: int, start: int, length: int) -> Node:
-        value = T.narrow(a.value, axis, start, length)
-        return self._append("narrow", (a,), value, {"axis": axis, "start": start, "length": length})
-
-    def pad_zeros(self, a: Node, axis: int, before: int, after: int) -> Node:
-        value = T.pad_zeros(a.value, axis, before, after)
-        return self._append("pad_zeros", (a,), value, {"axis": axis, "before": before, "after": after})
-
-    def tile_cols(self, b: Node, n: int) -> Node:
-        return self._append("tile_cols", (b,), T.tile_cols(b.value, n), {"n": n})
-
-    def sum_cols(self, a: Node) -> Node:
-        return self._append("sum_cols", (a,), T.sum_cols(a.value))
-
-    def tile_hw(self, b: Node, h: int, w: int) -> Node:
-        return self._append("tile_hw", (b,), T.tile_hw(b.value, h, w), {"h": h, "w": w})
-
-    def sum_hw(self, a: Node) -> Node:
-        return self._append("sum_hw", (a,), T.sum_hw(a.value))
-
-    # -- reductions and compositions ----------------------------------------
-
-    def reduce_sum(self, a: Node) -> Node:
-        return self._append("reduce_sum", (a,), T.reduce_sum(a.value))
-
-    def spread(self, s: Node, shape) -> Node:
-        return self._append("spread", (s,), T.spread(s.value, shape), {"shape": tuple(shape)})
+        return self._append("concat", tuple(parts), value, {"axis": axis})
 
     def mean(self, a: Node) -> Node:
         if a.value.size == 0:
@@ -232,94 +146,43 @@ class Graph:
 
 
 # ---------------------------------------------------------------------------
-# differentiation rules (each rule builds graph nodes, so rules compose to
-# arbitrary order)
-
-_VJPS: dict[str, Callable[[Graph, Node, Node], list[Node | None]]] = {}
+# the op table: one row per differentiable kernel.  Each rule builds graph
+# nodes, so rules compose to arbitrary order.
 
 
-def register_vjp(kind: str):
-    def deco(fn):
-        _VJPS[kind] = fn
-        return fn
-    return deco
+def _method(kind: str, arity: int, names: tuple[str, ...]):
+    """``Graph.<kind>``: kernel ``fpx.tensor.<kind>`` on the values of ``arity``
+    operand nodes and the arguments after them, which the node keeps as attrs
+    ``names``.  The kernel is looked up at every call, so patching it on the
+    module reaches every graph."""
+    if arity == 1 and not names:
+        def method(self, a):
+            return self._append(kind, (a,), getattr(T, kind)(a.value))
+    elif arity == 1:
+        def method(self, a, *args):
+            attrs = dict(zip(names, args, strict=True))
+            return self._append(kind, (a,), getattr(T, kind)(a.value, *args), attrs)
+    elif not names:
+        def method(self, a, b):
+            return self._append(kind, (a, b), getattr(T, kind)(a.value, b.value))
+    else:
+        def method(self, a, b, *args):
+            attrs = dict(zip(names, args, strict=True))
+            return self._append(kind, (a, b), getattr(T, kind)(a.value, b.value, *args), attrs)
+    method.__name__, method.__qualname__ = kind, f"Graph.{kind}"
+    return method
 
 
-@register_vjp("add")
-def _vjp_add(g, node, seed):
-    return [seed, seed]
+def _mask(g: Graph, cond: np.ndarray) -> Node:
+    """A constant 0/1 leaf: masks carry no gradient."""
+    return g._append("leaf", (), Tensor(cond.astype(np.float64)))
 
 
-@register_vjp("sub")
-def _vjp_sub(g, node, seed):
-    return [seed, g.scale(seed, -1.0)]
-
-
-@register_vjp("mul")
-def _vjp_mul(g, node, seed):
-    a, b = node.parents
-    return [g.mul(seed, b), g.mul(seed, a)]
-
-
-@register_vjp("scale")
-def _vjp_scale(g, node, seed):
-    return [g.scale(seed, node.attrs["factor"])]
-
-
-@register_vjp("offset")
-def _vjp_offset(g, node, seed):
-    return [seed]
-
-
-@register_vjp("relu")
-def _vjp_relu(g, node, seed):
-    # derivative defined as 0 at the kink
-    return [g.mul(seed, g.gt_zero_mask(node.parents[0]))]
-
-
-@register_vjp("sigmoid")
-def _vjp_sigmoid(g, node, seed):
-    one_minus = g.offset(g.scale(node, -1.0), 1.0)
-    return [g.mul(seed, g.mul(node, one_minus))]
-
-
-@register_vjp("log")
-def _vjp_log(g, node, seed):
-    return [g.mul(seed, g.recip(node.parents[0]))]
-
-
-@register_vjp("recip")
-def _vjp_recip(g, node, seed):
-    return [g.scale(g.mul(seed, g.mul(node, node)), -1.0)]
-
-
-@register_vjp("clip")
 def _vjp_clip(g, node, seed):
-    return [g.mul(seed, g.inband_mask(node.parents[0], node.attrs["lo"], node.attrs["hi"]))]
+    x, lo, hi = node.parents[0].value.data, node.attrs["lo"], node.attrs["hi"]
+    return [g.mul(seed, _mask(g, (x >= lo) & (x <= hi)))]
 
 
-@register_vjp("gt_zero_mask")
-def _vjp_mask(g, node, seed):
-    return [None]
-
-
-@register_vjp("inband_mask")
-def _vjp_inband(g, node, seed):
-    return [None]
-
-
-@register_vjp("matmul")
-def _vjp_matmul(g, node, seed):
-    a, b = node.parents
-    return [g.matmul(seed, g.transpose(b)), g.matmul(g.transpose(a), seed)]
-
-
-@register_vjp("transpose")
-def _vjp_transpose(g, node, seed):
-    return [g.transpose(seed)]
-
-
-@register_vjp("conv2d")
 def _vjp_conv2d(g, node, seed):
     x, k = node.parents
     s, p = node.attrs["stride"], node.attrs["padding"]
@@ -327,7 +190,6 @@ def _vjp_conv2d(g, node, seed):
             g.conv2d_grad_kernel(seed, x, k.shape[2:], s, p)]
 
 
-@register_vjp("conv2d_grad_input")
 def _vjp_conv2d_grad_input(g, node, seed):
     sd, k = node.parents
     s, p = node.attrs["stride"], node.attrs["padding"]
@@ -335,66 +197,73 @@ def _vjp_conv2d_grad_input(g, node, seed):
             g.conv2d_grad_kernel(sd, seed, k.shape[2:], s, p)]
 
 
-@register_vjp("conv2d_grad_kernel")
 def _vjp_conv2d_grad_kernel(g, node, seed):
     sd, x = node.parents
     s, p = node.attrs["stride"], node.attrs["padding"]
     return [g.conv2d(x, seed, s, p), g.conv2d_grad_input(sd, seed, s, p)]
 
 
-@register_vjp("concat")
-def _vjp_concat(g, node, seed):
-    axis, splits = node.attrs["axis"], node.attrs["splits"]
-    outs, start = [], 0
-    for length in splits:
-        outs.append(g.narrow(seed, axis, start, length))
-        start += length
-    return outs
-
-
-@register_vjp("narrow")
 def _vjp_narrow(g, node, seed):
-    a = node.parents[0]
     axis, start = node.attrs["axis"], node.attrs["start"]
-    after = a.shape[axis] - start - node.attrs["length"]
+    after = node.parents[0].shape[axis] - start - node.attrs["length"]
     return [g.pad_zeros(seed, axis, start, after)]
 
 
-@register_vjp("pad_zeros")
 def _vjp_pad_zeros(g, node, seed):
-    a = node.parents[0]
-    return [g.narrow(seed, node.attrs["axis"], node.attrs["before"], a.shape[node.attrs["axis"]])]
+    axis = node.attrs["axis"]
+    return [g.narrow(seed, axis, node.attrs["before"], node.parents[0].shape[axis])]
 
 
-@register_vjp("tile_cols")
-def _vjp_tile_cols(g, node, seed):
-    return [g.sum_cols(seed)]
+def _vjp_concat(g, node, seed):
+    axis, outs, start = node.attrs["axis"], [], 0
+    for p in node.parents:
+        outs.append(g.narrow(seed, axis, start, p.shape[axis]))
+        start += p.shape[axis]
+    return outs
 
 
-@register_vjp("sum_cols")
-def _vjp_sum_cols(g, node, seed):
-    return [g.tile_cols(seed, node.parents[0].shape[1])]
+# (kind, node operands, attrs: the kernel's arguments after the operands,
+#  vjp(graph, node, seed) -> one gradient node per parent, None for none)
+_OPS = (
+    ("add", 2, (), lambda g, n, s: [s, s]),
+    ("sub", 2, (), lambda g, n, s: [s, g.scale(s, -1.0)]),
+    ("mul", 2, (), lambda g, n, s: [g.mul(s, n.parents[1]), g.mul(s, n.parents[0])]),
+    ("scale", 1, ("factor",), lambda g, n, s: [g.scale(s, n.attrs["factor"])]),
+    ("offset", 1, ("amount",), lambda g, n, s: [s]),
+    # derivative defined as 0 at the kink
+    ("relu", 1, (), lambda g, n, s: [g.mul(s, _mask(g, n.parents[0].value.data > 0))]),
+    ("sigmoid", 1, (), lambda g, n, s: [g.mul(s, g.mul(n, g.offset(g.scale(n, -1.0), 1.0)))]),
+    ("log", 1, (), lambda g, n, s: [g.mul(s, g.recip(n.parents[0]))]),
+    ("recip", 1, (), lambda g, n, s: [g.scale(g.mul(s, g.mul(n, n)), -1.0)]),
+    ("clip", 1, ("lo", "hi"), _vjp_clip),
+    ("matmul", 2, (), lambda g, n, s: [g.matmul(s, g.transpose(n.parents[1])),
+                                       g.matmul(g.transpose(n.parents[0]), s)]),
+    ("transpose", 1, (), lambda g, n, s: [g.transpose(s)]),
+    ("conv2d", 2, ("stride", "padding"), _vjp_conv2d),
+    ("conv2d_grad_input", 2, ("stride", "padding"), _vjp_conv2d_grad_input),
+    ("conv2d_grad_kernel", 2, ("kernel_hw", "stride", "padding"), _vjp_conv2d_grad_kernel),
+    ("narrow", 1, ("axis", "start", "length"), _vjp_narrow),
+    ("pad_zeros", 1, ("axis", "before", "after"), _vjp_pad_zeros),
+    ("tile_cols", 1, ("n",), lambda g, n, s: [g.sum_cols(s)]),
+    ("sum_cols", 1, (), lambda g, n, s: [g.tile_cols(s, n.parents[0].shape[1])]),
+    ("tile_hw", 1, ("h", "w"), lambda g, n, s: [g.sum_hw(s)]),
+    ("sum_hw", 1, (), lambda g, n, s: [g.tile_hw(s, *n.parents[0].shape[1:])]),
+    ("reduce_sum", 1, (), lambda g, n, s: [g.spread(s, n.parents[0].shape)]),
+    ("spread", 1, ("shape",), lambda g, n, s: [g.reduce_sum(s)]),
+)
+
+for _kind, _arity, _names, _ in _OPS:
+    setattr(Graph, _kind, _method(_kind, _arity, _names))
+
+_VJPS: dict[str, Callable[[Graph, Node, Node], list[Node | None]]] = {
+    "concat": _vjp_concat, **{kind: vjp for kind, _, _, vjp in _OPS}}
 
 
-@register_vjp("tile_hw")
-def _vjp_tile_hw(g, node, seed):
-    return [g.sum_hw(seed)]
-
-
-@register_vjp("sum_hw")
-def _vjp_sum_hw(g, node, seed):
-    h, w = node.parents[0].shape[1:]
-    return [g.tile_hw(seed, h, w)]
-
-
-@register_vjp("reduce_sum")
-def _vjp_reduce_sum(g, node, seed):
-    return [g.spread(seed, node.parents[0].shape)]
-
-
-@register_vjp("spread")
-def _vjp_spread(g, node, seed):
-    return [g.reduce_sum(seed)]
+def register_vjp(kind: str):
+    def deco(fn):
+        _VJPS[kind] = fn
+        return fn
+    return deco
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ has ``cin * kh * kw`` rows (im2col).  The operand shapes alone pick the route.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -81,7 +82,7 @@ def _wrap(arr: np.ndarray) -> Tensor:
     tensor, without a copy or a full-size temporary."""
     # a sum is non-finite whenever an entry is; only then is the exact scan
     # needed, since a finite array can overflow its sum
-    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericsError("kernel produced a non-finite value")
     arr.setflags(write=False)
     out = Tensor.__new__(Tensor)
@@ -331,7 +332,8 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    if axis >= a.data.ndim or start < 0 or start + length > a.shape[axis]:
+    if (not -a.data.ndim <= axis < a.data.ndim or start < 0 or length < 0
+            or start + length > a.shape[axis]):
         raise ShapeError(f"narrow [{start}:{start + length}) on axis {axis} of shape {a.shape}")
     idx = [slice(None)] * a.data.ndim
     idx[axis] = slice(start, start + length)
@@ -339,6 +341,8 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 
 def pad_zeros(a: Tensor, axis: int, before: int, after: int) -> Tensor:
+    if not -a.data.ndim <= axis < a.data.ndim or before < 0 or after < 0:
+        raise ShapeError(f"pad_zeros ({before}, {after}) on axis {axis} of shape {a.shape}")
     widths = [(0, 0)] * a.data.ndim
     widths[axis] = (before, after)
     return _wrap(np.pad(a.data, widths))

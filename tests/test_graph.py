@@ -1,13 +1,17 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from fpx import tensor as T
 from fpx.graph import (
+    _OPS,
     FunctionObject,
     Graph,
     GraphError,
     NonDifferentiableError,
     backward,
+    backward_nodes,
     live_node_count,
     partial_diff,
     register_vjp,
@@ -94,6 +98,123 @@ class TestBackward:
         assert [n.id for n in g.nodes] == list(range(len(g.nodes)))
         with pytest.raises(ValueError):
             y.value.data[0] = 9.0
+
+
+def _op_case(kind: str, rng: np.random.Generator):
+    """Operand arrays and trailing kernel arguments for one op-table row,
+    away from the kinks of relu and clip and the poles of log and recip."""
+    def m(*shape):
+        return np.asarray(rng.standard_normal(shape))
+
+    def away(lo):   # entries with |x| in [lo, 1]
+        return rng.uniform(lo, 1.0, (3, 2)) * rng.choice([-1.0, 1.0], (3, 2))
+
+    band = np.array([[-0.9, -0.3], [0.1, 0.7], [0.35, -0.6]])
+    return {
+        "add": ([m(3, 2), m(3, 2)], ()),
+        "sub": ([m(3, 2), m(3, 2)], ()),
+        "mul": ([m(3, 2), m(3, 2)], ()),
+        "scale": ([m(3, 2)], (-1.5,)),
+        "offset": ([m(3, 2)], (0.7,)),
+        "relu": ([away(0.2)], ()),
+        "sigmoid": ([m(3, 2)], ()),
+        "log": ([rng.uniform(0.5, 2.0, (3, 2))], ()),
+        "recip": ([away(0.5)], ()),
+        "clip": ([band + rng.uniform(-0.05, 0.05, band.shape)], (-0.5, 0.5)),
+        "matmul": ([m(3, 4), m(4, 2)], ()),
+        "transpose": ([m(3, 2)], ()),
+        # 3 -> 2 channels at stride 1 unrolls the taps; stride 2 runs im2col
+        "conv2d": ([m(3, 5, 5), m(2, 3, 3, 3)], (1, 1)),
+        "conv2d_grad_input": ([m(2, 3, 3), m(2, 3, 3, 3)], (2, 1)),
+        "conv2d_grad_kernel": ([m(2, 5, 5), m(3, 5, 5)], ((3, 3), 1, 1)),
+        "narrow": ([m(4, 3)], (0, 1, 2)),
+        "pad_zeros": ([m(2, 3)], (1, 1, 2)),
+        "tile_cols": ([m(3)], (4,)),
+        "sum_cols": ([m(3, 4)], ()),
+        "tile_hw": ([m(2)], (3, 4)),
+        "sum_hw": ([m(2, 3, 4)], ()),
+        "reduce_sum": ([m(3, 2)], ()),
+        "spread": ([m()], ((3, 2),)),
+    }[kind]
+
+
+def _table_vjps(kind, xs, args, seed) -> list[np.ndarray]:
+    """First-order VJPs of one table op at ``xs``, one array per operand."""
+    g = Graph()
+    leaves = [g.leaf(Tensor(x)) for x in xs]
+    grads = backward(g, getattr(g, kind)(*leaves, *args), Tensor(seed))
+    return [grads[leaf.id].data for leaf in leaves]
+
+
+def _with(xs, i, v):
+    return [v if j == i else x for j, x in enumerate(xs)]
+
+
+_KINDS = [row[0] for row in _OPS]
+
+
+class TestOpTable:
+    """Every row of the op table, in isolation: its kernel, its method and
+    its rule to second order."""
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_kind_names_a_kernel(self, kind):
+        kernel = getattr(T, kind)
+        assert inspect.isfunction(kernel) and kernel.__module__ == "fpx.tensor"
+        assert inspect.isfunction(vars(Graph)[kind])
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_method_calls_the_module_kernel(self, kind, monkeypatch):
+        # the benchmark tracer replaces fpx.tensor attributes and must see
+        # every call a Graph method makes
+        xs, args = _op_case(kind, np.random.default_rng(41))
+        kernel, calls = getattr(T, kind), []
+
+        def counting(*a):
+            calls.append(kind)
+            return kernel(*a)
+        monkeypatch.setattr(T, kind, counting)
+        g = Graph()
+        node = getattr(g, kind)(*[g.leaf(Tensor(x)) for x in xs], *args)
+        assert calls == [kind] and node.kind == kind
+        np.testing.assert_array_equal(node.value.data, kernel(*map(Tensor, xs), *args).data)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_vjp_matches_central_differences(self, kind):
+        rng = np.random.default_rng(43)
+        xs, args = _op_case(kind, rng)
+        kernel = getattr(T, kind)
+        seed = rng.standard_normal(kernel(*map(Tensor, xs), *args).shape)
+        got = _table_vjps(kind, xs, args, seed)
+        for i, x in enumerate(xs):
+            fd = central_diff(
+                lambda v: float(np.sum(seed * kernel(*map(Tensor, _with(xs, i, v)), *args).data)),
+                x)
+            assert rel_err(got[i], fd) < 1e-7
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_second_order_vjp_matches_central_differences(self, kind):
+        # s(x, c) = sum_i <u_i, VJP_i(x, c)>, differentiated through the
+        # rule's own nodes, against differences of the first-order VJPs
+        rng = np.random.default_rng(47)
+        xs, args = _op_case(kind, rng)
+        seed = rng.standard_normal(getattr(T, kind)(*map(Tensor, xs), *args).shape)
+        us = [rng.standard_normal(x.shape) for x in xs]
+
+        def s(xs_, seed_):
+            return sum(float(np.sum(u * v)) for u, v in zip(us, _table_vjps(kind, xs_, args, seed_)))
+
+        g = Graph()
+        leaves = [g.leaf(Tensor(x)) for x in xs]
+        c = g.leaf(Tensor(seed))
+        gnodes = backward_nodes(g, getattr(g, kind)(*leaves, *args), c)
+        parts = [g.dot(g.leaf(Tensor(u)), gnodes[leaf.id]) for u, leaf in zip(us, leaves)]
+        grads = backward(g, parts[0] if len(parts) == 1 else g.add(*parts))
+        got = [grads.get(n.id, T.zeros(n.shape)).data for n in (*leaves, c)]
+        want = [central_diff(lambda v, i=i: s(_with(xs, i, v), seed), x) for i, x in enumerate(xs)]
+        want.append(central_diff(lambda v: s(xs, v), seed))
+        assert rel_err(np.concatenate([a.ravel() for a in got]),
+                       np.concatenate([a.ravel() for a in want])) < 1e-7
 
 
 class TestDetachClone:

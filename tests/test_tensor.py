@@ -266,6 +266,19 @@ class TestStructure:
         out = T.pad_zeros(Tensor([1.0, 2.0]), 0, 1, 2)
         assert out.data.tolist() == [0.0, 1.0, 2.0, 0.0, 0.0]
 
+    def test_narrow_rejects_negative_length(self):
+        with pytest.raises(ShapeError):
+            T.narrow(Tensor([1.0, 2.0, 3.0]), 0, 0, -1)
+
+    @pytest.mark.parametrize("kernel", [T.narrow, T.pad_zeros])
+    def test_axis_below_minus_ndim_rejected(self, kernel):
+        with pytest.raises(ShapeError):
+            kernel(Tensor([1.0, 2.0]), -2, 0, 1)
+
+    def test_pad_zeros_rejects_negative_width(self):
+        with pytest.raises(ShapeError):
+            T.pad_zeros(Tensor([1.0, 2.0]), 0, -1, 0)
+
     def test_spread_and_tiles(self):
         assert T.spread(Tensor(3.0), (2, 2)).data.tolist() == [[3.0, 3.0], [3.0, 3.0]]
         assert T.tile_cols(Tensor([1.0, 2.0]), 3).shape == (2, 3)
