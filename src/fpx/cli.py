@@ -504,10 +504,14 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
         scores = _batched_prediction(cfg, module, theta, z, post_sigmoid, True)
         return f1_score(Tensor((scores >= tau).astype(np.float64)), target)
 
+    def swept(theta):
+        """The threshold swept on the validation scores, and the F1 there."""
+        scores = Tensor(_batched_prediction(cfg, module, theta, z_val, post_sigmoid, True))
+        tau = select_threshold(scores, t_val)
+        return tau, f1_score(Tensor((scores.data >= tau).astype(np.float64)), t_val)
+
     def finish(last, kept, best):
-        # threshold swept on the validation slice with the selected parameters
-        val_scores = _batched_prediction(cfg, module, kept, z_val, post_sigmoid, True)
-        tau = select_threshold(Tensor(val_scores), t_val)
+        tau, _ = swept(kept)
         test_f1 = f1_at(kept, test.features.data.T, t_test, tau)
         last_f1 = f1_at(last, test.features.data.T, t_test, tau)
         log.say(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
@@ -522,8 +526,8 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
         run_id, model_kind, module, True, stream=21, n_train=n,
         examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
         loss="bce", post_sigmoid=post_sigmoid,
-        evaluate=lambda theta: f1_at(theta, z_val, t_val, 0.5), score=("val", "f1_at_0.5"),
-        epoch_line="train bce {train:.5f}  val f1@0.5 {score:.4f}", keep_best=True,
+        evaluate=lambda theta: swept(theta)[1], score=("val", "f1_swept"),
+        epoch_line="train bce {train:.5f}  val f1@swept {score:.4f}", keep_best=True,
         finish=finish), log)
 
 
