@@ -155,6 +155,7 @@ def _method(kind: str, arity: int, names: tuple[str, ...]):
     operand nodes and the arguments after them, which the node keeps as attrs
     ``names``.  The kernel is looked up at every call, so patching it on the
     module reaches every graph."""
+    # one closure per signature shape: per-op overhead dominates small-batch runs
     if arity == 1 and not names:
         def method(self, a):
             return self._append(kind, (a,), getattr(T, kind)(a.value))
