@@ -175,7 +175,7 @@ def _conv(x: np.ndarray, k: np.ndarray, stride: int, padding: int, oh: int, ow: 
 
 
 @_quiet
-def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(inp: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
     _check_conv_args(inp, kernel, stride, padding)
     _, _, kh, kw = kernel.shape
     _, h, w = inp.shape
@@ -185,7 +185,7 @@ def conv2d(inp: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Te
 
 
 @_quiet
-def conv2d_grad_input(seed: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d_grad_input(seed: Tensor, kernel: Tensor, stride: int, padding: int) -> Tensor:
     """Adjoint of conv2d in its input argument: maps output-shaped seeds back."""
     if seed.data.ndim != 3 or kernel.data.ndim != 4:
         raise ShapeError(f"bad shapes for conv grad: {seed.shape}, {kernel.shape}")
@@ -214,7 +214,7 @@ def conv2d_grad_input(seed: Tensor, kernel: Tensor, stride: int = 1, padding: in
 
 @_quiet
 def conv2d_grad_kernel(seed: Tensor, inp: Tensor, kernel_hw: tuple[int, int],
-                       stride: int = 1, padding: int = 0) -> Tensor:
+                       stride: int, padding: int) -> Tensor:
     """Adjoint of conv2d in its kernel argument."""
     if seed.data.ndim != 3 or inp.data.ndim != 3:
         raise ShapeError(f"bad shapes for conv grad: {seed.shape}, {inp.shape}")

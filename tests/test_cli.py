@@ -181,16 +181,20 @@ class TestRunners:
         rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
         f1 = [r for r in rows if r[3] == "f1"]
         assert len(f1) == 1 and 0.0 <= f1[0][4] <= 1.0
+        assert any(r[3] == "threshold" for r in rows)
 
     def test_multilabel_keeps_the_epoch_with_the_best_swept_f1(self, tmp_path):
-        # no score of this run reaches 0.5, so F1 at a fixed 0.5 threshold is 0
-        # at every epoch and cannot tell the epochs apart
-        cfg = _tiny_config("multilabel", tmp_path, tmp_path / "out", model="fpi_nn", epochs=4)
+        # at this rate the swept F1 rises for five epochs and drops at the
+        # sixth, so keeping the first or the last epoch would both be caught;
+        # F1 at a fixed 0.5 threshold is 0 until epoch 6 and would keep epoch 6
+        cfg = _tiny_config("multilabel", tmp_path, tmp_path / "out", model="fpi_nn",
+                           epochs=6, lr=0.03)
         rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
         scores = [r[4] for r in rows if r[3] == "f1_swept"]
-        assert len(scores) == 4 and any(s > 0 for s in scores)
-        # argmax takes the first maximum: the earliest epoch wins ties
-        assert [r[4] for r in rows if r[3] == "f1_best_epoch"] == [1.0 + np.argmax(scores)]
+        assert len(scores) == 6 and len(set(scores)) > 1
+        best = int(np.argmax(scores))   # the first maximum: the earliest epoch wins ties
+        assert 0 < best < 5
+        assert [r[4] for r in rows if r[3] == "f1_best_epoch"] == [1.0 + best]
         assert any(r[3] == "threshold" for r in rows)
 
     def test_multilabel_split_check_aborts(self, tmp_path):
