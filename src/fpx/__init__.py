@@ -1,5 +1,6 @@
 """Fixed-point-iteration network layers with Jacobian-free implicit gradients."""
 
+import logging as _logging
 import os as _os
 
 # Cap BLAS threads before numpy loads; kernels themselves are single-threaded.
@@ -47,5 +48,8 @@ from .fpi import (
     spectral_norm_jacobian,
     unrolled_gradient,
 )
+
+# records reach only the handlers an application attaches (the CLI attaches its own)
+_logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 __version__ = "0.1.0"

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import logging
 import os
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable
 
@@ -41,6 +41,8 @@ from .train import (
     psnr,
     select_threshold,
 )
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -170,25 +172,6 @@ def emit_metrics(path, rows: list[tuple]) -> None:
             fh.write(f"{run_id},{epoch},{split},{metric},{value:.12g}\n")
 
 
-class RunLog:
-    """Deterministic plain-text run log (no timestamps)."""
-
-    def __init__(self, out_dir: str, quiet: bool = False):
-        self.lines: list[str] = []
-        self.out_dir = out_dir
-        self.quiet = quiet
-
-    def say(self, msg: str):
-        self.lines.append(msg)
-        if not self.quiet:
-            print(msg)
-
-    def flush(self):
-        os.makedirs(self.out_dir, exist_ok=True)
-        with open(os.path.join(self.out_dir, "run.log"), "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.lines) + "\n")
-
-
 class SolveStats:
     """Per-epoch forward/backward iteration counts and convergence rates."""
 
@@ -253,14 +236,14 @@ def _batched_prediction(cfg, module, theta, z_all: np.ndarray, post_sigmoid, is_
     return np.concatenate(cols, axis=1)
 
 
-def _flag_convergence(run_id, log, rows, total_stats: SolveStats, final_epoch):
+def _flag_convergence(run_id, rows, total_stats: SolveStats, final_epoch):
     rate = (total_stats.fwd_unconverged / total_stats.fwd_solves
             if total_stats.fwd_solves else 0.0)
     flagged = rate > 0.01
     rows.append((run_id, final_epoch, "train", "convergence_flag", 1.0 if flagged else 0.0))
     if flagged:
-        log.say(f"WARNING {run_id}: {100 * rate:.2f}% of forward solves failed to "
-                f"converge; results are suspect")
+        log.warning(f"WARNING {run_id}: {100 * rate:.2f}% of forward solves failed to "
+                    f"converge; results are suspect")
 
 
 @dataclass
@@ -292,7 +275,7 @@ class _Run:
     finish: Callable | None = None
 
 
-def _fit(cfg: ExperimentConfig, run: _Run, log: RunLog) -> list[tuple]:
+def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
     """Train ``run.module`` with Adam, one step per batch; returns the metric
     rows and saves the kept parameters as ``params-<run_id>.bin``."""
     module, names = run.module, run.module.param_names
@@ -325,9 +308,7 @@ def _fit(cfg: ExperimentConfig, run: _Run, log: RunLog) -> list[tuple]:
                 pred = g.sigmoid(xnode) if run.post_sigmoid else xnode
                 build_loss = build_mse if run.loss == "mse" else build_bce
                 loss = build_loss(g, pred, g.leaf(target))
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)   # counted in stats
-                    grads_map = backward(g, loss)
+                grads_map = backward(g, loss)
                 for n in names:
                     gn = grads_map.get(tnodes[n].id)
                     if gn is not None:
@@ -352,9 +333,13 @@ def _fit(cfg: ExperimentConfig, run: _Run, log: RunLog) -> list[tuple]:
         rows.append((run.run_id, epoch, *run.score, score))
         rows.extend(stats.rows(run.run_id, epoch))
         total_stats.merge(stats)
-        log.say(f"[{run.run_id}] epoch {epoch:3d}  "
-                + run.epoch_line.format(train=np.mean(losses), score=score))
-    _flag_convergence(run.run_id, log, rows, total_stats, cfg.epochs)
+        log.info(f"[{run.run_id}] epoch {epoch:3d}  "
+                 + run.epoch_line.format(train=np.mean(losses), score=score))
+        if stats.bwd_unconverged:
+            log.warning(f"WARNING {run.run_id}: epoch {epoch}: {stats.bwd_unconverged} of "
+                        f"{stats.bwd_solves} backward solves hit max_iter; their "
+                        f"gradients are best-effort")
+    _flag_convergence(run.run_id, rows, total_stats, cfg.epochs)
     kept = best_theta if run.keep_best else theta
     meta = {"task": cfg.task, "model": run.model, "seed": cfg.seed}
     if run.keep_best:
@@ -389,11 +374,10 @@ def _toybox_data(cfg: ExperimentConfig):
             a_test, np.clip(a_test, -1.0, 1.0))
 
 
-def run_toybox(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
-    log = log or RunLog(cfg.out_dir)
+def run_toybox(cfg: ExperimentConfig) -> list[tuple]:
     run_id = f"toybox-{cfg.model}-seed{cfg.seed}"
-    log.say(f"[{run_id}] dim={cfg.dim} hidden={cfg.hidden} train={cfg.n_train} "
-            f"test={cfg.n_test} epochs={cfg.epochs} tol={cfg.tol:g}")
+    log.info(f"[{run_id}] dim={cfg.dim} hidden={cfg.hidden} train={cfg.n_train} "
+             f"test={cfg.n_test} epochs={cfg.epochs} tol={cfg.tol:g}")
     z_train, t_train, z_test, t_test = _toybox_data(cfg)
     module = _toybox_module(cfg)
     is_fpi = cfg.model != "feedforward"
@@ -406,7 +390,7 @@ def run_toybox(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
         run_id, cfg.model, module, is_fpi, stream=1, n_train=cfg.n_train,
         examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
         loss="mse", post_sigmoid=False, evaluate=evaluate, score=("test", "mse"),
-        epoch_line="train mse {train:.6f}  test mse {score:.6f}", keep_best=False), log)
+        epoch_line="train mse {train:.6f}  test mse {score:.6f}", keep_best=False))
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +402,7 @@ def _noisy(clean: np.ndarray, sigma: float, seed_parts: list[int]) -> Tensor:
     return Tensor(clean[None] + rng.standard_normal((1, *clean.shape)) * (sigma / 255.0))
 
 
-def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test, log) -> list[tuple]:
+def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test) -> list[tuple]:
     run_id = f"denoise-{model_kind}-s{sigma:g}-seed{cfg.seed}"
     module = ConvG(channels=cfg.channels)
     is_fpi = model_kind == "fpi_nn"
@@ -444,11 +428,10 @@ def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test, log) -
         run_id, model_kind, module, is_fpi, stream=11, n_train=len(images_train),
         examples=examples, loss="mse", post_sigmoid=False, evaluate=evaluate,
         score=("test", "psnr"), epoch_line="train mse {train:.6f}  test psnr {score:.3f} dB",
-        keep_best=True, finish=finish), log)
+        keep_best=True, finish=finish))
 
 
-def run_denoise(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
-    log = log or RunLog(cfg.out_dir)
+def run_denoise(cfg: ExperimentConfig) -> list[tuple]:
     if not cfg.corpus:
         raise ValueError("denoise needs a PGM corpus; set [data] corpus or --data "
                          "(fpx make-images generates a synthetic one)")
@@ -461,7 +444,7 @@ def run_denoise(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]
     for sigma in cfg.sigmas:
         for model_kind in models:
             rows.extend(_denoise_one_model(cfg, model_kind, sigma,
-                                           images_train, images_test, log))
+                                           images_train, images_test))
     return rows
 
 
@@ -485,8 +468,8 @@ def _multilabel_solver(cfg: ExperimentConfig, model_kind: str) -> ExperimentConf
     return cfg
 
 
-def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDataset,
-                          log) -> list[tuple]:
+def _multilabel_one_model(cfg, model_kind, train: SparseDataset,
+                          test: SparseDataset) -> list[tuple]:
     run_id = f"multilabel-{model_kind}-seed{cfg.seed}"
     cfg = _multilabel_solver(cfg, model_kind)
     module, post_sigmoid = _multilabel_module(cfg, model_kind)
@@ -495,8 +478,8 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
     n = z_train.shape[1]
     n_val = max(1, int(round(cfg.val_fraction * n)))
     val_idx = np.random.default_rng([cfg.seed, 23]).permutation(n)[:n_val]
-    log.say(f"[{run_id}] {n} train samples ({n_val} for threshold selection), "
-            f"{test.n_samples} test, tol={cfg.tol:g} ({cfg.criterion})")
+    log.info(f"[{run_id}] {n} train samples ({n_val} for threshold selection), "
+             f"{test.n_samples} test, tol={cfg.tol:g} ({cfg.criterion})")
     z_val, t_val = z_train[:, val_idx], Tensor(t_train[:, val_idx])
     t_test = Tensor(test.labels.data.T)
 
@@ -514,8 +497,8 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
         tau, _ = swept(kept)
         test_f1 = f1_at(kept, test.features.data.T, t_test, tau)
         last_f1 = f1_at(last, test.features.data.T, t_test, tau)
-        log.say(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
-                f"(best epoch {best[1]}), last-epoch f1 {100 * last_f1:.1f}")
+        log.info(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
+                 f"(best epoch {best[1]}), last-epoch f1 {100 * last_f1:.1f}")
         return ([(run_id, cfg.epochs, "test", "f1", test_f1),
                  (run_id, cfg.epochs, "test", "f1_last_epoch", last_f1),
                  (run_id, cfg.epochs, "val", "threshold", tau),
@@ -528,11 +511,10 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset, test: SparseDat
         loss="bce", post_sigmoid=post_sigmoid,
         evaluate=lambda theta: swept(theta)[1], score=("val", "f1_swept"),
         epoch_line="train bce {train:.5f}  val f1@swept {score:.4f}", keep_best=True,
-        finish=finish), log)
+        finish=finish))
 
 
-def run_multilabel(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tuple]:
-    log = log or RunLog(cfg.out_dir)
+def run_multilabel(cfg: ExperimentConfig) -> list[tuple]:
     if not cfg.train_path or not cfg.test_path:
         raise ValueError("multilabel needs [data] train_path and test_path")
     train = load_sparse_dataset(cfg.train_path, cfg.n_features, cfg.n_labels,
@@ -540,11 +522,11 @@ def run_multilabel(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tup
     test = load_sparse_dataset(cfg.test_path, cfg.n_features, cfg.n_labels,
                                cfg.expected_test or None)
     if float(np.min(test.labels.data.sum(axis=1))) == 0.0:
-        log.say("note: test split contains samples with empty label sets")
+        log.info("note: test split contains samples with empty label sets")
     models = ("fpi_nn", "fpi_gd") if cfg.model == "both" else (cfg.model,)
     rows: list[tuple] = []
     for model_kind in models:
-        rows.extend(_multilabel_one_model(cfg, model_kind, train, test, log))
+        rows.extend(_multilabel_one_model(cfg, model_kind, train, test))
     return rows
 
 
@@ -552,10 +534,9 @@ def run_multilabel(cfg: ExperimentConfig, log: RunLog | None = None) -> list[tup
 # gradcheck: the verification suite as a task
 
 
-def run_gradcheck(cfg: ExperimentConfig, log: RunLog | None = None) -> tuple[list[tuple], int]:
-    log = log or RunLog(cfg.out_dir)
+def run_gradcheck(cfg: ExperimentConfig) -> tuple[list[tuple], int]:
     run_id = f"gradcheck-seed{cfg.seed}"
-    log.say(f"[{run_id}] running {cfg.n_models}-model verification suite")
+    log.info(f"[{run_id}] running {cfg.n_models}-model verification suite")
     outcomes = gradcheck_mod.run_all(cfg.seed, cfg.n_models)
     rows: list[tuple] = []
     failed = 0
@@ -563,13 +544,13 @@ def run_gradcheck(cfg: ExperimentConfig, log: RunLog | None = None) -> tuple[lis
     for o in outcomes:
         status = "PASS" if o.passed else "FAIL"
         failed += 0 if o.passed else 1
-        log.say(f"  {status}  {o.name:<{width}}  observed {o.observed:.3e}  "
-                f"threshold {o.threshold:.3e}")
+        log.info(f"  {status}  {o.name:<{width}}  observed {o.observed:.3e}  "
+                 f"threshold {o.threshold:.3e}")
         rows.append((run_id, 0, "check", o.name, o.observed))
         rows.append((run_id, 0, "check", f"{o.name}.threshold", o.threshold))
         rows.append((run_id, 0, "check", f"{o.name}.passed", 1.0 if o.passed else 0.0))
     rows.append((run_id, 0, "check", "checks_failed", float(failed)))
-    log.say(f"[{run_id}] {len(outcomes)} checks, {failed} failed")
+    log.info(f"[{run_id}] {len(outcomes)} checks, {failed} failed")
     return rows, failed
 
 
@@ -597,43 +578,59 @@ def main(argv=None) -> int:
                         help="make-images: number of images")
     parser.add_argument("--size", type=int, default=64,
                         help="make-images: image side length")
-    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--quiet", action="store_true",
+                        help="log to <out>/run.log only, not to stdout")
     args = parser.parse_args(argv)
 
-    if args.task == "make-images":
-        out = args.out or "images"
-        generate_synthetic_corpus(out, args.count, args.size, args.seed or 0)
-        if not args.quiet:
-            print(f"wrote {args.count} {args.size}x{args.size} PGM images to {out}")
-        return 0
+    cfg = None
+    if args.task != "make-images":
+        overrides = dict(seed=args.seed, out_dir=args.out, model=args.model,
+                         epochs=args.epochs, tol=args.tol)
+        if args.data:
+            if args.task == "denoise":
+                overrides["corpus"] = args.data
+            elif args.task == "multilabel":
+                try:
+                    train_path, test_path = args.data.split(",")
+                except ValueError:
+                    parser.error("--data for multilabel is 'train_file,test_file'")
+                overrides.update(train_path=train_path, test_path=test_path)
+        cfg = make_config(args.task, args.config, **overrides)
 
-    overrides = dict(seed=args.seed, out_dir=args.out, model=args.model,
-                     epochs=args.epochs, tol=args.tol)
-    if args.data:
-        if args.task == "denoise":
-            overrides["corpus"] = args.data
-        elif args.task == "multilabel":
-            try:
-                train_path, test_path = args.data.split(",")
-            except ValueError:
-                parser.error("--data for multilabel is 'train_file,test_file'")
-            overrides.update(train_path=train_path, test_path=test_path)
-    cfg = make_config(args.task, args.config, **overrides)
-    log = RunLog(cfg.out_dir, quiet=args.quiet)
-
-    failed = 0
-    if cfg.task == "toybox":
-        rows = run_toybox(cfg, log)
-    elif cfg.task == "denoise":
-        rows = run_denoise(cfg, log)
-    elif cfg.task == "multilabel":
-        rows = run_multilabel(cfg, log)
-    else:
-        rows, failed = run_gradcheck(cfg, log)
-    emit_metrics(cfg.metrics_path, rows)
-    log.say(f"metrics written to {cfg.metrics_path}")
-    log.flush()
-    return 1 if failed else 0
+    handlers = [] if args.quiet else [logging.StreamHandler(sys.stdout)]
+    if cfg is not None:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        handlers.append(logging.FileHandler(os.path.join(cfg.out_dir, "run.log"), "w",
+                                            encoding="utf-8"))
+    fpx_log = logging.getLogger("fpx")
+    level = fpx_log.level
+    fpx_log.setLevel(logging.INFO)
+    for handler in handlers:
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        fpx_log.addHandler(handler)
+    try:
+        if cfg is None:
+            out = args.out or "images"
+            generate_synthetic_corpus(out, args.count, args.size, args.seed or 0)
+            log.info(f"wrote {args.count} {args.size}x{args.size} PGM images to {out}")
+            return 0
+        failed = 0
+        if cfg.task == "toybox":
+            rows = run_toybox(cfg)
+        elif cfg.task == "denoise":
+            rows = run_denoise(cfg)
+        elif cfg.task == "multilabel":
+            rows = run_multilabel(cfg)
+        else:
+            rows, failed = run_gradcheck(cfg)
+        emit_metrics(cfg.metrics_path, rows)
+        log.info(f"metrics written to {cfg.metrics_path}")
+        return 1 if failed else 0
+    finally:
+        fpx_log.setLevel(level)
+        for handler in handlers:
+            fpx_log.removeHandler(handler)
+            handler.close()
 
 
 if __name__ == "__main__":

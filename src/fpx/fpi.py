@@ -13,7 +13,6 @@ of forward iterations.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -166,8 +165,9 @@ def backward_fpi(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
     Solves c = (dg/dx)^T c + grad_out by fixed-point iteration (one VJP per
     step, driven by forward_fpi under the absolute criterion, since c carries
     no natural scale), then reads the gradients off one more VJP with the
-    converged cotangent.  Hitting max_iter warns and returns the best-effort
-    gradient flagged unconverged.
+    converged cotangent.  Hitting max_iter returns the best-effort gradient
+    with ``converged`` False and does not warn: like forward_fpi, the solver
+    reports through its result and leaves policy to the caller.
     """
     if grad_out.shape != x_hat.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != state shape {x_hat.shape}")
@@ -179,10 +179,6 @@ def backward_fpi(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
         raise DivergenceError(exc.iteration,
                               "cotangent iteration diverged; the update map is "
                               "likely not a contraction at this point") from exc
-    if not res.converged:
-        warnings.warn(f"backward FPI hit max_iter={cfg.max_iter} "
-                      f"(residual {res.residual:.3e}); gradient is best-effort",
-                      RuntimeWarning, stacklevel=2)
     grad_theta, grad_z = it.final_grads(res.x_hat)
     return BackwardFpiResult(grad_theta, grad_z, res.iterations,
                              res.converged, res.residual)

@@ -67,52 +67,40 @@ def init_small(param_shapes, scale: float, rng: np.random.Generator) -> Paramete
 # spectral norms and projection
 
 
-def spectral_norm_matrix(w: Tensor, iters: int = 50, tol: float = 1e-8) -> float:
-    """Largest singular value via power iteration on W^T W."""
-    a = w.data
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(a.shape[1])
+def _power_norm(forward, adjoint, shape, iters: int, tol: float) -> float:
+    """Largest singular value of a linear map, given as its ``forward`` and
+    ``adjoint`` on arrays, by power iteration on A^T A from a fixed start."""
+    v = np.random.default_rng(0).standard_normal(shape)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
-        u = a @ v
+        u = forward(v)
         prev = sigma
         sigma = float(np.linalg.norm(u))
         if sigma == 0.0:
             return 0.0
-        v = a.T @ (u / sigma)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return sigma
-        v /= nv
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
-            break
-    return float(np.linalg.norm(a @ v))
-
-
-def spectral_norm_conv(kernel: Tensor, image_hw: tuple[int, int], padding: int = 1,
-                       iters: int = 50, tol: float = 1e-8) -> float:
-    """Operator norm of the stride-1 convolution unfolded at a fixed image size."""
-    h, w = image_hw
-    cin = kernel.shape[1]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((cin, h, w))
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(iters):
-        u = T.conv2d(Tensor(v), kernel, 1, padding).data
-        prev = sigma
-        sigma = float(np.linalg.norm(u))
-        if sigma == 0.0:
-            return 0.0
-        v = T.conv2d_grad_input(Tensor(u / sigma), kernel, 1, padding).data
+        v = adjoint(u / sigma)
         nv = np.linalg.norm(v)
         if nv == 0.0:
             return sigma
         v = v / nv
         if abs(sigma - prev) <= tol * max(sigma, 1.0):
             break
-    return float(np.linalg.norm(T.conv2d(Tensor(v), kernel, 1, padding).data))
+    return float(np.linalg.norm(forward(v)))
+
+
+def spectral_norm_matrix(w: Tensor, iters: int = 50, tol: float = 1e-8) -> float:
+    """Largest singular value via power iteration on W^T W."""
+    a = w.data
+    return _power_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1], iters, tol)
+
+
+def spectral_norm_conv(kernel: Tensor, image_hw: tuple[int, int], padding: int = 1,
+                       iters: int = 50, tol: float = 1e-8) -> float:
+    """Operator norm of the stride-1 convolution unfolded at a fixed image size."""
+    return _power_norm(lambda v: T.conv2d(Tensor(v), kernel, 1, padding).data,
+                       lambda u: T.conv2d_grad_input(Tensor(u), kernel, 1, padding).data,
+                       (kernel.shape[1], *image_hw), iters, tol)
 
 
 def lipschitz_project(params: Parameters, k: float,

@@ -28,7 +28,7 @@ import numpy as np
 
 
 def _quiet(fn):
-    """Run a kernel with numpy warnings off; finiteness is checked explicitly."""
+    """Run a kernel with numpy errors ignored; finiteness is checked explicitly."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with np.errstate(all="ignore"):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fpx import gradcheck
-from fpx.cli import RunLog, emit_metrics, make_config, run_denoise, run_gradcheck, run_toybox
+from fpx.cli import emit_metrics, make_config, run_denoise, run_gradcheck, run_toybox
 from fpx.data import generate_synthetic_corpus
 
 SEED = 2024
@@ -78,7 +78,7 @@ def test_criterion_5_toybox_ordering(tmp_path):
     for model in ("fpi_nn", "feedforward"):
         cfg = make_config("toybox", model=model, seed=SEED,
                           out_dir=str(tmp_path / model))
-        rows = run_toybox(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = run_toybox(cfg)
         results[model] = {r[1]: r[4] for r in rows
                           if r[2] == "test" and r[3] == "mse"}[cfg.epochs]
     elapsed = time.time() - start
@@ -102,7 +102,7 @@ def test_criterion_6_denoising_desk_scale(desk_corpus, tmp_path):
                       out_dir=str(tmp_path))
     assert cfg.crop == 64 and cfg.n_train_images == 100 and cfg.epochs == 20
     assert cfg.sigmas == (25.0,)
-    rows = run_denoise(cfg, RunLog(cfg.out_dir, quiet=True))
+    rows = run_denoise(cfg)
     best = {r[0]: r[4] for r in rows if r[3] == "psnr_best"}
     gap = best[f"denoise-fpi_nn-s25-seed{SEED}"] \
         - best[f"denoise-feedforward-s25-seed{SEED}"]
@@ -121,7 +121,7 @@ def test_criterion_6_denoising_paper_scale():
     cfg = make_config("denoise", corpus=corpus, seed=SEED, crop=180,
                       n_train_images=400, n_test_images=100,
                       sigmas=(15.0, 20.0, 25.0), out_dir="runs/denoise-paper")
-    rows = run_denoise(cfg, RunLog(cfg.out_dir, quiet=True))
+    rows = run_denoise(cfg)
     best = {r[0]: r[4] for r in rows if r[3] == "psnr_best"}
     targets = {15.0: 0.25, 20.0: 0.56, 25.0: 0.65}
     for sigma, target in targets.items():
@@ -151,7 +151,7 @@ def test_criterion_7_bibtex_multilabel(tmp_path):
     cfg = make_config("multilabel", model="both", train_path=paths[0],
                       test_path=paths[1], expected_train=4880, expected_test=2515,
                       seed=SEED, out_dir=str(tmp_path))
-    rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
+    rows = run_multilabel(cfg)
     f1 = {r[0]: 100.0 * r[4] for r in rows if r[3] == "f1"}
     elapsed = time.time() - start
     _report("criterion 7: Bibtex F1 (mlp flavor) >= 42.0",
@@ -178,7 +178,7 @@ def test_criterion_9_determinism(tmp_path):
         for attempt in ("a", "b"):
             cfg = make_config(task, seed=SEED, out_dir=str(tmp_path / f"{task}-{attempt}"),
                               **kwargs)
-            out = runner(cfg, RunLog(cfg.out_dir, quiet=True))
+            out = runner(cfg)
             rows = out[0] if task == "gradcheck" else out
             emit_metrics(cfg.metrics_path, rows)
             payloads.append(open(cfg.metrics_path, "rb").read())

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from fpx.cli import (
     ExperimentConfig,
-    RunLog,
     emit_metrics,
     fpi_config,
     main,
@@ -136,7 +136,7 @@ class TestRunners:
     @pytest.mark.parametrize("model", ["fpi_nn", "fpi_gd", "feedforward"])
     def test_toybox_runs_and_learns(self, tmp_path, model):
         cfg = _tiny_config("toybox", tmp_path, tmp_path, model=model, epochs=3)
-        rows = run_toybox(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = run_toybox(cfg)
         test_mse = [r[4] for r in rows if r[2] == "test" and r[3] == "mse"]
         assert len(test_mse) == 3
         assert all(np.isfinite(v) for v in test_mse)
@@ -147,7 +147,7 @@ class TestRunners:
         outputs = []
         for name in ("a", "b"):
             cfg = _tiny_config(task, tmp_path, tmp_path / name, seed=3)
-            rows = _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
+            rows = _RUNNERS[task](cfg)
             emit_metrics(cfg.metrics_path, rows)
             outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()
                             if p.suffix in (".csv", ".bin")})
@@ -161,16 +161,16 @@ class TestRunners:
         cfg = _tiny_config(task, tmp_path, tmp_path / "abort", model="fpi_nn", max_iter=1,
                            on_unconverged="abort")
         with pytest.raises(RuntimeError, match="failed to converge"):
-            _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
+            _RUNNERS[task](cfg)
         cfg = _tiny_config(task, tmp_path, tmp_path / "warn", model="fpi_nn", max_iter=1,
                            on_unconverged="warn")
-        rows = _RUNNERS[task](cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = _RUNNERS[task](cfg)
         assert [r[4] for r in rows if r[3] == "convergence_flag"] == [1.0]
         assert all(r[4] == 1.0 for r in rows if r[3] == "fpi_unconverged_rate")
 
     def test_denoise_runs_both_models(self, tmp_path):
         cfg = _tiny_config("denoise", tmp_path, tmp_path / "out")
-        rows = run_denoise(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = run_denoise(cfg)
         run_ids = {r[0] for r in rows}
         assert run_ids == {"denoise-fpi_nn-s25-seed0", "denoise-feedforward-s25-seed0"}
         assert any(r[3] == "psnr_best" for r in rows)
@@ -178,7 +178,7 @@ class TestRunners:
 
     def test_multilabel_runs_on_synthetic_split(self, tmp_path):
         cfg = _tiny_config("multilabel", tmp_path, tmp_path / "out", model="fpi_nn")
-        rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = run_multilabel(cfg)
         f1 = [r for r in rows if r[3] == "f1"]
         assert len(f1) == 1 and 0.0 <= f1[0][4] <= 1.0
         assert any(r[3] == "threshold" for r in rows)
@@ -189,7 +189,7 @@ class TestRunners:
         # F1 at a fixed 0.5 threshold is 0 until epoch 6 and would keep epoch 6
         cfg = _tiny_config("multilabel", tmp_path, tmp_path / "out", model="fpi_nn",
                            epochs=6, lr=0.03)
-        rows = run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows = run_multilabel(cfg)
         scores = [r[4] for r in rows if r[3] == "f1_swept"]
         assert len(scores) == 6 and len(set(scores)) > 1
         best = int(np.argmax(scores))   # the first maximum: the earliest epoch wins ties
@@ -204,11 +204,11 @@ class TestRunners:
                           test_path=str(tmp_path / "test.txt"), n_features=4, n_labels=2,
                           expected_train=4880, out_dir=str(tmp_path / "out"))
         with pytest.raises(Exception, match="nonstandard split"):
-            run_multilabel(cfg, RunLog(cfg.out_dir, quiet=True))
+            run_multilabel(cfg)
 
     def test_gradcheck_small_suite_passes(self, tmp_path):
         cfg = make_config("gradcheck", n_models=3, out_dir=str(tmp_path))
-        rows, failed = run_gradcheck(cfg, RunLog(cfg.out_dir, quiet=True))
+        rows, failed = run_gradcheck(cfg)
         assert failed == 0
         assert any(r[3] == "checks_failed" and r[4] == 0.0 for r in rows)
 
@@ -216,7 +216,7 @@ class TestRunners:
         payloads = []
         for name in ("a", "b"):
             cfg = make_config("gradcheck", n_models=3, out_dir=str(tmp_path / name))
-            rows, _ = run_gradcheck(cfg, RunLog(cfg.out_dir, quiet=True))
+            rows, _ = run_gradcheck(cfg)
             emit_metrics(cfg.metrics_path, rows)
             payloads.append(open(cfg.metrics_path, "rb").read())
         assert payloads[0] == payloads[1]
@@ -229,6 +229,12 @@ class TestMain:
                    "--quiet"])
         assert rc == 0
         assert len(list(out.glob("*.pgm"))) == 3
+
+    def test_make_images_reports_on_stdout(self, tmp_path, capsys):
+        out = tmp_path / "imgs"
+        assert main(["make-images", "--out", str(out), "--count", "2", "--size", "8"]) == 0
+        assert capsys.readouterr().out == f"wrote 2 8x8 PGM images to {out}\n"
+        assert not (out / "run.log").exists()
 
     def test_toybox_end_to_end(self, tmp_path):
         cfg_path = tmp_path / "cfg.ini"
@@ -250,3 +256,55 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["multilabel", "--data", "only_one_file", "--quiet",
                   "--out", str(tmp_path)])
+
+    @staticmethod
+    def _ini(path, fpi=None, **experiment):
+        text = "[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in experiment.items())
+        if fpi:
+            text += "[fpi]\n" + "".join(f"{k} = {v}\n" for k, v in fpi.items())
+        path.write_text(text)
+        return str(path)
+
+    def test_each_run_log_holds_only_its_own_run(self, tmp_path):
+        cfg_path = self._ini(tmp_path / "cfg.ini", n_train=60, n_test=20, hidden=8)
+        logs = {}
+        for seed in (1, 2):
+            out = tmp_path / f"out{seed}"
+            assert main(["toybox", "--config", cfg_path, "--epochs", "1", "--seed",
+                         str(seed), "--out", str(out), "--quiet"]) == 0
+            logs[seed] = (out / "run.log").read_text()
+        assert (tmp_path / "out1" / "run.log").read_text() == logs[1]   # closed after run 1
+        for seed, other in ((1, 2), (2, 1)):
+            assert f"seed{seed}" in logs[seed] and f"seed{other}" not in logs[seed]
+            assert logs[seed].count("metrics written to") == 1
+        assert [type(h) for h in logging.getLogger("fpx").handlers] == [logging.NullHandler]
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_stdout_is_the_run_log_unless_quiet(self, tmp_path, capsys, quiet):
+        cfg_path = self._ini(tmp_path / "cfg.ini", n_models=2)
+        argv = ["gradcheck", "--config", cfg_path, "--out", str(tmp_path / "o")]
+        assert main(argv + (["--quiet"] if quiet else [])) == 0
+        log_text = (tmp_path / "o" / "run.log").read_text(encoding="utf-8")
+        assert log_text.endswith("metrics written to "
+                                 f"{tmp_path / 'o' / 'metrics.csv'}\n")
+        assert capsys.readouterr().out == ("" if quiet else log_text)
+
+    def test_run_log_has_the_data_loader_records(self, tmp_path):
+        cfg = _tiny_config("multilabel", tmp_path, tmp_path / "unused")
+        cfg_path = self._ini(tmp_path / "cfg.ini", n_features=20, n_labels=6, hidden=8,
+                             batch_size=20)
+        assert main(["multilabel", "--config", cfg_path, "--epochs", "1", "--quiet",
+                     "--data", f"{cfg.train_path},{cfg.test_path}",
+                     "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "run.log").read_text().splitlines()
+        assert f"{cfg.train_path}: 60 samples, detected 0-based indexing" in lines
+        assert f"{cfg.test_path}: 30 samples, detected 0-based indexing" in lines
+
+    def test_run_log_counts_best_effort_backward_solves(self, tmp_path):
+        cfg_path = self._ini(tmp_path / "cfg.ini", {"max_iter": 2}, n_train=60, n_test=20,
+                             hidden=8, batch_size=20)
+        assert main(["toybox", "--config", cfg_path, "--model", "fpi_gd", "--epochs", "1",
+                     "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        lines = (tmp_path / "o" / "run.log").read_text().splitlines()
+        assert ("WARNING toybox-fpi_gd-seed0: epoch 1: 3 of 3 backward solves hit "
+                "max_iter; their gradients are best-effort") in lines

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -193,16 +195,18 @@ class TestBackwardFpi:
             assert rel_err(bw.grad_theta[name].data, un_theta[name].data) < 1e-5
         assert rel_err(bw.grad_z.data, un_z.data) < 1e-5
 
-    def test_unconverged_backward_warns_and_flags(self):
+    def test_unconverged_backward_flags(self):
         rng = np.random.default_rng(67)
         g = AffineG(3)
         theta = affine_params(rng, 3, 1.2)
         x_fake = Tensor(rng.standard_normal((3, 1)))
         z = Tensor(rng.standard_normal((3, 1)))
         cfg = FpiConfig(tol=1e-20, criterion=Criterion.ABSOLUTE_BETA, max_iter=40)
-        with pytest.warns(RuntimeWarning, match="best-effort"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             bw = backward_fpi(g, x_fake, z, theta, T.ones((3, 1)), cfg)
-        assert not bw.converged
+        assert bw.converged is False
+        assert caught == []     # the result is the report; the caller decides
 
     def test_zero_grad_out_converges_to_zero_gradients(self):
         rng = np.random.default_rng(71)
