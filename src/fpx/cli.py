@@ -42,7 +42,7 @@ from .train import (
     select_threshold,
 )
 
-log = logging.getLogger(__name__)
+log = logging.getLogger("fpx.cli")
 
 
 @dataclass

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .graph import FunctionObject, Graph, Node, backward, register_vjp, vjp
+from .graph import FunctionObject, Graph, Node, backward, backward_nodes, register_vjp, vjp
 from .layers import GModule, Parameters
 from .tensor import NumericsError, ShapeError, Tensor
 
@@ -117,7 +117,9 @@ class _CotangentIteration:
     dh/dx with h = <c, g> is one VJP through a single application of g.  The
     graph of that single application is built once; every step then runs one
     reverse sweep seeded with the current cotangent and rolls the arena back,
-    so memory stays flat no matter how many steps the solve takes.
+    so memory stays flat no matter how many steps the solve takes.  A step's
+    sweep is pruned to the nodes that depend on x; only ``final_grads``, run
+    once with the converged cotangent, differentiates w.r.t. theta and z.
     """
 
     def __init__(self, g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
@@ -130,12 +132,11 @@ class _CotangentIteration:
         self._out = g.build(self._graph, self._x, self._z, self._theta)
         self._mark = self._graph.mark()
 
-    def _sweep(self, c: Tensor) -> dict[int, "Node"]:
-        from .graph import backward_nodes
-        return backward_nodes(self._graph, self._out, self._graph.leaf(c))
+    def _sweep(self, c: Tensor, wrt: list[Node]) -> dict[int, Node]:
+        return backward_nodes(self._graph, self._out, self._graph.leaf(c), wrt)
 
     def step(self, c: Tensor) -> Tensor:
-        grads = self._sweep(c)
+        grads = self._sweep(c, [self._x])
         gx = grads.get(self._x.id)
         value = T.add(gx.value, self._grad_out) if gx is not None else self._grad_out
         self._graph.rollback(self._mark)
@@ -143,7 +144,7 @@ class _CotangentIteration:
 
     def final_grads(self, c: Tensor) -> tuple[Parameters, Tensor]:
         """One more sweep with the converged cotangent reads off dh/dtheta, dh/dz."""
-        grads = self._sweep(c)
+        grads = self._sweep(c, [*self._theta.values(), self._z])
         theta = Parameters()
         for name, leaf in self._theta.items():
             gn = grads.get(leaf.id)
@@ -327,7 +328,7 @@ def fpi_layer(graph: Graph, g: GModule, z: Node, theta: dict[str, Node],
 
 
 @register_vjp("fpi_layer")
-def _vjp_fpi_layer(g, node, seed):
+def _vjp_fpi_layer(g, node, seed, need):
     module: GModule = node.attrs["module"]
     z_node = node.parents[0]
     theta = Parameters({n: p.value for n, p in zip(module.param_names, node.parents[1:])})
@@ -336,4 +337,5 @@ def _vjp_fpi_layer(g, node, seed):
     node.attrs["backward_result"] = res
     # gradients re-enter the caller's graph as leaves: the layer supports
     # first-order training; higher derivatives go through partial_diff instead
-    return [g.leaf(res.grad_z)] + [g.leaf(res.grad_theta[n]) for n in module.param_names]
+    grads = [res.grad_z] + [res.grad_theta[n] for n in module.param_names]
+    return [g.leaf(gr) if k else None for gr, k in zip(grads, need)]

@@ -12,10 +12,13 @@ with the derivatives on the retained independent graph.
 
 Each differentiable kernel of ``fpx.tensor`` is one row of ``_OPS``: its
 kind, which is the kernel's name, the names of the kernel arguments that
-follow the node operands (the node keeps them as attrs) and its VJP rule.
-The table sets the ``Graph`` method of that name and fills the rule
+follow the node operands (the node keeps them as attrs) and one VJP per
+operand.  The table sets the ``Graph`` method of that name and fills the rule
 registry; only ``leaf``, ``concat`` and the compositions ``mean``,
-``sq_norm`` and ``dot`` are written out as methods.
+``sq_norm`` and ``dot`` are written out as methods.  A reverse sweep builds
+an operand's VJP only when the operand depends on a leaf the caller reads;
+the registered rules that share work across operands (``concat``,
+``partial_diff`` and ``fpi_layer``) get the mask of needed parents.
 """
 
 from __future__ import annotations
@@ -181,83 +184,86 @@ def _mask(g: Graph, cond: np.ndarray) -> Node:
 
 def _vjp_clip(g, node, seed):
     x, lo, hi = node.parents[0].value.data, node.attrs["lo"], node.attrs["hi"]
-    return [g.mul(seed, _mask(g, (x >= lo) & (x <= hi)))]
+    return g.mul(seed, _mask(g, (x >= lo) & (x <= hi)))
 
 
-def _vjp_conv2d(g, node, seed):
-    x, k = node.parents
-    s, p = node.attrs["stride"], node.attrs["padding"]
-    return [g.conv2d_grad_input(seed, k, s, p),
-            g.conv2d_grad_kernel(seed, x, k.shape[2:], s, p)]
-
-
-def _vjp_conv2d_grad_input(g, node, seed):
-    sd, k = node.parents
-    s, p = node.attrs["stride"], node.attrs["padding"]
-    return [g.conv2d(seed, k, s, p),
-            g.conv2d_grad_kernel(sd, seed, k.shape[2:], s, p)]
-
-
-def _vjp_conv2d_grad_kernel(g, node, seed):
-    sd, x = node.parents
-    s, p = node.attrs["stride"], node.attrs["padding"]
-    return [g.conv2d(x, seed, s, p), g.conv2d_grad_input(sd, seed, s, p)]
+def _conv_attrs(node):
+    return node.attrs["stride"], node.attrs["padding"]
 
 
 def _vjp_narrow(g, node, seed):
     axis, start = node.attrs["axis"], node.attrs["start"]
     after = node.parents[0].shape[axis] - start - node.attrs["length"]
-    return [g.pad_zeros(seed, axis, start, after)]
+    return g.pad_zeros(seed, axis, start, after)
 
 
 def _vjp_pad_zeros(g, node, seed):
     axis = node.attrs["axis"]
-    return [g.narrow(seed, axis, node.attrs["before"], node.parents[0].shape[axis])]
-
-
-def _vjp_concat(g, node, seed):
-    axis, outs, start = node.attrs["axis"], [], 0
-    for p in node.parents:
-        outs.append(g.narrow(seed, axis, start, p.shape[axis]))
-        start += p.shape[axis]
-    return outs
+    return g.narrow(seed, axis, node.attrs["before"], node.parents[0].shape[axis])
 
 
 # (kind, node operands, attrs: the kernel's arguments after the operands,
-#  vjp(graph, node, seed) -> one gradient node per parent, None for none)
+#  one vjp(graph, node, seed) -> gradient node per operand)
 _OPS = (
-    ("add", 2, (), lambda g, n, s: [s, s]),
-    ("sub", 2, (), lambda g, n, s: [s, g.scale(s, -1.0)]),
-    ("mul", 2, (), lambda g, n, s: [g.mul(s, n.parents[1]), g.mul(s, n.parents[0])]),
-    ("scale", 1, ("factor",), lambda g, n, s: [g.scale(s, n.attrs["factor"])]),
-    ("offset", 1, ("amount",), lambda g, n, s: [s]),
+    ("add", 2, (), (lambda g, n, s: s, lambda g, n, s: s)),
+    ("sub", 2, (), (lambda g, n, s: s, lambda g, n, s: g.scale(s, -1.0))),
+    ("mul", 2, (), (lambda g, n, s: g.mul(s, n.parents[1]),
+                    lambda g, n, s: g.mul(s, n.parents[0]))),
+    ("scale", 1, ("factor",), (lambda g, n, s: g.scale(s, n.attrs["factor"]),)),
+    ("offset", 1, ("amount",), (lambda g, n, s: s,)),
     # derivative defined as 0 at the kink
-    ("relu", 1, (), lambda g, n, s: [g.mul(s, _mask(g, n.parents[0].value.data > 0))]),
-    ("sigmoid", 1, (), lambda g, n, s: [g.mul(s, g.mul(n, g.offset(g.scale(n, -1.0), 1.0)))]),
-    ("log", 1, (), lambda g, n, s: [g.mul(s, g.recip(n.parents[0]))]),
-    ("recip", 1, (), lambda g, n, s: [g.scale(g.mul(s, g.mul(n, n)), -1.0)]),
-    ("clip", 1, ("lo", "hi"), _vjp_clip),
-    ("matmul", 2, (), lambda g, n, s: [g.matmul(s, g.transpose(n.parents[1])),
-                                       g.matmul(g.transpose(n.parents[0]), s)]),
-    ("transpose", 1, (), lambda g, n, s: [g.transpose(s)]),
-    ("conv2d", 2, ("stride", "padding"), _vjp_conv2d),
-    ("conv2d_grad_input", 2, ("stride", "padding"), _vjp_conv2d_grad_input),
-    ("conv2d_grad_kernel", 2, ("kernel_hw", "stride", "padding"), _vjp_conv2d_grad_kernel),
-    ("narrow", 1, ("axis", "start", "length"), _vjp_narrow),
-    ("pad_zeros", 1, ("axis", "before", "after"), _vjp_pad_zeros),
-    ("tile_cols", 1, ("n",), lambda g, n, s: [g.sum_cols(s)]),
-    ("sum_cols", 1, (), lambda g, n, s: [g.tile_cols(s, n.parents[0].shape[1])]),
-    ("tile_hw", 1, ("h", "w"), lambda g, n, s: [g.sum_hw(s)]),
-    ("sum_hw", 1, (), lambda g, n, s: [g.tile_hw(s, *n.parents[0].shape[1:])]),
-    ("reduce_sum", 1, (), lambda g, n, s: [g.spread(s, n.parents[0].shape)]),
-    ("spread", 1, ("shape",), lambda g, n, s: [g.reduce_sum(s)]),
+    ("relu", 1, (), (lambda g, n, s: g.mul(s, _mask(g, n.parents[0].value.data > 0)),)),
+    ("sigmoid", 1, (), (lambda g, n, s: g.mul(s, g.mul(n, g.offset(g.scale(n, -1.0), 1.0))),)),
+    ("log", 1, (), (lambda g, n, s: g.mul(s, g.recip(n.parents[0])),)),
+    ("recip", 1, (), (lambda g, n, s: g.scale(g.mul(s, g.mul(n, n)), -1.0),)),
+    ("clip", 1, ("lo", "hi"), (_vjp_clip,)),
+    ("matmul", 2, (), (lambda g, n, s: g.matmul(s, g.transpose(n.parents[1])),
+                       lambda g, n, s: g.matmul(g.transpose(n.parents[0]), s))),
+    ("transpose", 1, (), (lambda g, n, s: g.transpose(s),)),
+    ("conv2d", 2, ("stride", "padding"), (
+        lambda g, n, s: g.conv2d_grad_input(s, n.parents[1], *_conv_attrs(n)),
+        lambda g, n, s: g.conv2d_grad_kernel(s, n.parents[0], n.parents[1].shape[2:],
+                                             *_conv_attrs(n)))),
+    ("conv2d_grad_input", 2, ("stride", "padding"), (
+        lambda g, n, s: g.conv2d(s, n.parents[1], *_conv_attrs(n)),
+        lambda g, n, s: g.conv2d_grad_kernel(n.parents[0], s, n.parents[1].shape[2:],
+                                             *_conv_attrs(n)))),
+    ("conv2d_grad_kernel", 2, ("kernel_hw", "stride", "padding"), (
+        lambda g, n, s: g.conv2d(n.parents[1], s, *_conv_attrs(n)),
+        lambda g, n, s: g.conv2d_grad_input(n.parents[0], s, *_conv_attrs(n)))),
+    ("narrow", 1, ("axis", "start", "length"), (_vjp_narrow,)),
+    ("pad_zeros", 1, ("axis", "before", "after"), (_vjp_pad_zeros,)),
+    ("tile_cols", 1, ("n",), (lambda g, n, s: g.sum_cols(s),)),
+    ("sum_cols", 1, (), (lambda g, n, s: g.tile_cols(s, n.parents[0].shape[1]),)),
+    ("tile_hw", 1, ("h", "w"), (lambda g, n, s: g.sum_hw(s),)),
+    ("sum_hw", 1, (), (lambda g, n, s: g.tile_hw(s, *n.parents[0].shape[1:]),)),
+    ("reduce_sum", 1, (), (lambda g, n, s: g.spread(s, n.parents[0].shape),)),
+    ("spread", 1, ("shape",), (lambda g, n, s: g.reduce_sum(s),)),
 )
 
 for _kind, _arity, _names, _ in _OPS:
     setattr(Graph, _kind, _method(_kind, _arity, _names))
 
-_VJPS: dict[str, Callable[[Graph, Node, Node], list[Node | None]]] = {
-    "concat": _vjp_concat, **{kind: vjp for kind, _, _, vjp in _OPS}}
+
+def _operandwise(vjps):
+    """A table row's VJPs as one rule that builds only the needed operands'."""
+    def rule(g, node, seed, need):
+        return [vjp(g, node, seed) if k else None for vjp, k in zip(vjps, need)]
+    return rule
+
+
+def _vjp_concat(g, node, seed, need):
+    axis, outs, start = node.attrs["axis"], [], 0
+    for p, k in zip(node.parents, need):
+        outs.append(g.narrow(seed, axis, start, p.shape[axis]) if k else None)
+        start += p.shape[axis]
+    return outs
+
+
+# rule(graph, node, seed, need) -> one gradient node per parent, None where
+# the parent is not needed or gets none
+_VJPS: dict[str, Callable[[Graph, Node, Node, list[bool]], list[Node | None]]] = {
+    "concat": _vjp_concat, **{kind: _operandwise(vjps) for kind, _, _, vjps in _OPS}}
 
 
 def register_vjp(kind: str):
@@ -271,8 +277,37 @@ def register_vjp(kind: str):
 # reverse sweep
 
 
-def backward_nodes(graph: Graph, output: Node, seed: Node) -> dict[int, Node]:
+def _dependents(graph: Graph, output: Node, wrt: Sequence[Node] | None) -> list[bool]:
+    """Per node id up to ``output``: whether the node depends on a ``wrt``
+    node (every leaf when ``wrt`` is None)."""
+    if wrt is None:
+        return [True] * (output.id + 1)
+    dep = [False] * (output.id + 1)
+    for w in wrt:
+        if not graph.contains(w):
+            raise GraphError(f"wrt node {w!r} is not part of this graph")
+        if w.id <= output.id:
+            dep[w.id] = True
+    nodes = graph.nodes
+    for nid in range(output.id + 1):
+        for p in nodes[nid].parents:
+            if dep[p.id]:
+                dep[nid] = True
+                break
+    return dep
+
+
+def backward_nodes(graph: Graph, output: Node, seed: Node,
+                   wrt: Sequence[Node] | None = None) -> dict[int, Node]:
     """Reverse sweep returning gradient *nodes* keyed by node id.
+
+    The sweep visits only the nodes reached from ``output`` that depend on a
+    node of ``wrt``, and a rule builds a parent's contribution only when that
+    parent depends on one too; ``wrt`` None means every leaf.  So the map has
+    an entry for each ``wrt`` node that reaches ``output`` (and for the nodes
+    between them), and none for a node that does not.  A dependent node has
+    only dependent children, so the entries it gets are the full gradients,
+    accumulated in the same order whatever ``wrt`` is.
 
     The returned nodes live on ``graph``, so any of them can be differentiated
     again by a later sweep.
@@ -281,15 +316,17 @@ def backward_nodes(graph: Graph, output: Node, seed: Node) -> dict[int, Node]:
         raise GraphError("output node is not part of this graph")
     if seed.value.shape != output.value.shape:
         raise ShapeError(f"seed shape {seed.value.shape} != output shape {output.value.shape}")
+    dep = _dependents(graph, output, wrt)
     grads: dict[int, Node] = {output.id: seed}
     for nid in range(output.id, -1, -1):
         node = graph.nodes[nid]
-        if nid not in grads or node.is_leaf:
+        if nid not in grads or node.is_leaf or not dep[nid]:
             continue
         rule = _VJPS.get(node.kind)
         if rule is None:
             raise NonDifferentiableError(f"op {node.kind!r} has no differentiation rule")
-        for parent, contrib in zip(node.parents, rule(graph, node, grads[nid])):
+        need = [dep[p.id] for p in node.parents]
+        for parent, contrib in zip(node.parents, rule(graph, node, grads[nid], need)):
             if contrib is None:
                 continue
             if parent.id in grads:
@@ -375,9 +412,10 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     of ``s`` as mutually independent.
 
     Builds an independent graph on detached clones of ``s``, evaluates and
-    differentiates ``r`` there, and re-attaches the derivatives to ``graph``
-    as outputs whose own backward rule contracts second derivatives on the
-    retained independent graph.
+    differentiates ``r`` there w.r.t. the ``wrt`` clones only, and re-attaches
+    the derivatives to ``graph`` as outputs whose own backward rule contracts
+    second derivatives on the retained independent graph, w.r.t. the clones
+    whose outer parents the caller's sweep needs.
     """
     if set(s) != set(r.input_names):
         raise GraphError(f"{r.name} expects inputs {r.input_names}, got {sorted(s)}")
@@ -392,7 +430,8 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     outs = r.build(inner, leaves)
     if len(outs) != 1 or outs[0].value.size != 1:
         raise ShapeError("partial_diff expects a single scalar output")
-    gmap = backward_nodes(inner, outs[0], inner.leaf(T.ones(outs[0].shape)))
+    gmap = backward_nodes(inner, outs[0], inner.leaf(T.ones(outs[0].shape)),
+                          [leaves[w] for w in wrt])
     grad_nodes = {}
     for w in wrt:
         gn = gmap.get(leaves[w].id)
@@ -406,17 +445,19 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
 
 
 @register_vjp("partial_diff")
-def _vjp_partial_diff(g, node, seed):
+def _vjp_partial_diff(g, node, seed, need):
     state: _PartialState = node.attrs["state"]
     inner = state.inner
     # eta = <delta, d r / d s_w> built on the retained independent graph; the
     # incoming gradient enters as a detached leaf (no derivatives for it).
     delta = inner.leaf(seed.value)
     eta = inner.dot(delta, state.grad_nodes[node.attrs["wrt"]])
-    second = backward_nodes(inner, eta, inner.leaf(T.ones(())))
+    leaves = [state.leaves[name] for name in node.attrs["names"]]
+    second = backward_nodes(inner, eta, inner.leaf(T.ones(())),
+                            [leaf for leaf, k in zip(leaves, need) if k])
     outs: list[Node | None] = []
-    for name in node.attrs["names"]:
-        gn = second.get(state.leaves[name].id)
+    for leaf in leaves:
+        gn = second.get(leaf.id)
         outs.append(g.leaf(gn.value) if gn is not None else None)
     inner.rollback(state.mark)
     return outs

@@ -1,9 +1,12 @@
 import logging
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fpx
 from fpx.cli import (
     ExperimentConfig,
     emit_metrics,
@@ -288,6 +291,19 @@ class TestMain:
         assert log_text.endswith("metrics written to "
                                  f"{tmp_path / 'o' / 'metrics.csv'}\n")
         assert capsys.readouterr().out == ("" if quiet else log_text)
+
+    def test_module_entry_point_logs_to_the_run_log_and_stdout(self, tmp_path):
+        # under ``python -m`` the CLI's records must still reach the fpx handlers
+        cfg_path = self._ini(tmp_path / "cfg.ini", n_train=60, n_test=20, hidden=8)
+        src = os.path.dirname(os.path.dirname(fpx.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-m", "fpx.cli", "toybox", "--config", cfg_path,
+                              "--epochs", "1", "--out", str(tmp_path / "o")],
+                             env=env, capture_output=True, text=True, timeout=120, check=True)
+        log_text = (tmp_path / "o" / "run.log").read_text(encoding="utf-8")
+        assert "metrics written to" in log_text
+        assert out.stdout == log_text
 
     def test_run_log_has_the_data_loader_records(self, tmp_path):
         cfg = _tiny_config("multilabel", tmp_path, tmp_path / "unused")

@@ -6,6 +6,7 @@ import pytest
 from fpx import tensor as T
 from fpx.fpi import (
     BackwardFpiResult,
+    _CotangentIteration,
     ConditioningError,
     Criterion,
     DivergenceError,
@@ -19,8 +20,17 @@ from fpx.fpi import (
     spectral_norm_jacobian,
     unrolled_gradient,
 )
-from fpx.graph import FunctionObject, Graph, backward, live_node_count
-from fpx.layers import AffineG, EnergyNet, GdG, GModule, MlpG, Parameters, lipschitz_project
+from fpx.graph import FunctionObject, Graph, backward, live_node_count, vjp
+from fpx.layers import (
+    AffineG,
+    ConvG,
+    EnergyNet,
+    GdG,
+    GModule,
+    MlpG,
+    Parameters,
+    lipschitz_project,
+)
 from fpx.tensor import Tensor
 
 from reference import central_diff, rel_err
@@ -218,6 +228,65 @@ class TestBackwardFpi:
         bw = backward_fpi(g, res.x_hat, z, theta, T.zeros((4, 1)), cfg)
         assert np.all(bw.grad_z.data == 0.0)
         assert all(np.all(bw.grad_theta[n].data == 0.0) for n in g.param_names)
+
+
+def _cotangent_case(kind: str):
+    """A module, its state/input values, parameters, grad_out and a cotangent."""
+    rng = np.random.default_rng(83)
+    module, x_shape, z_shape = {
+        "AffineG": (AffineG(4), (4, 3), (4, 3)),
+        "MlpG": (MlpG(state_dim=4, input_dim=3, hidden=5), (4, 3), (3, 3)),
+        "ConvG": (ConvG(channels=4), (1, 6, 6), (1, 6, 6)),
+        "GdG": (GdG(EnergyNet(3, 2, 5, body_dim=3), gamma=0.5), (3, 4), (2, 4)),
+    }[kind]
+    theta = module.init_params(0.5, rng)
+    x, z, grad_out, c = (Tensor(rng.standard_normal(s))
+                         for s in (x_shape, z_shape, x_shape, x_shape))
+    return module, x, z, theta, grad_out, c
+
+
+def _count_calls(monkeypatch, kernel: str) -> list:
+    calls, original = [], getattr(T, kernel)
+
+    def counting(*args):
+        calls.append(kernel)
+        return original(*args)
+    monkeypatch.setattr(T, kernel, counting)
+    return calls
+
+
+class TestCotangentIteration:
+    """The pruned sweeps of the backward layer give exactly the entries of
+    one full VJP through g, and skip the work the step does not read."""
+
+    @pytest.mark.parametrize("kind", ["AffineG", "MlpG", "ConvG", "GdG"])
+    def test_step_and_final_grads_equal_one_full_vjp(self, kind):
+        module, x, z, theta, grad_out, c = _cotangent_case(kind)
+        full = vjp(module.function_object(), {"x": x, "z": z, **theta}, c)
+        it = _CotangentIteration(module, x, z, theta, grad_out)
+        assert np.array_equal(it.step(c).data, full["x"].data + grad_out.data)
+        grad_theta, grad_z = it.final_grads(c)
+        assert np.array_equal(grad_z.data, full["z"].data)
+        for name in module.param_names:
+            assert np.array_equal(grad_theta[name].data, full[name].data)
+
+    def test_conv_step_skips_the_kernel_adjoint(self, monkeypatch):
+        module, x, z, theta, grad_out, c = _cotangent_case("ConvG")
+        it = _CotangentIteration(module, x, z, theta, grad_out)
+        calls = _count_calls(monkeypatch, "conv2d_grad_kernel")
+        it.step(c)
+        assert len(calls) == 0
+        it.final_grads(c)
+        assert len(calls) == 2      # one per conv kernel
+
+    def test_gd_step_differentiates_only_through_x(self, monkeypatch):
+        module, x, z, theta, grad_out, c = _cotangent_case("GdG")
+        it = _CotangentIteration(module, x, z, theta, grad_out)
+        calls = _count_calls(monkeypatch, "matmul")
+        it.step(c)
+        assert len(calls) == 4      # the x terms only
+        it.final_grads(c)
+        assert len(calls) == 4 + 8  # final_grads builds the parameter terms too
 
 
 class TestFpiGdStep:

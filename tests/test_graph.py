@@ -14,7 +14,6 @@ from fpx.graph import (
     backward_nodes,
     live_node_count,
     partial_diff,
-    register_vjp,
     vjp,
 )
 from fpx.tensor import ShapeError, Tensor
@@ -90,6 +89,25 @@ class TestBackward:
         weird = g._append("weird_op", (x,), Tensor([1.0]))
         with pytest.raises(NonDifferentiableError, match="weird_op"):
             backward(g, weird, Tensor([1.0]))
+
+    def test_wrt_prunes_to_the_leaves_that_reach_the_output(self):
+        g = Graph()
+        x, w, unused = (g.leaf(Tensor([1.0, 2.0])) for _ in range(3))
+        y = g.reduce_sum(g.mul(g.sigmoid(x), w))
+        full = backward_nodes(g, y, g.leaf(Tensor(1.0)))
+        for wrt in ([x], [w], [x, w]):
+            grads = backward_nodes(g, y, g.leaf(Tensor(1.0)), wrt)
+            assert {x.id, w.id} & set(grads) == {leaf.id for leaf in wrt}
+            for leaf in wrt:
+                assert np.array_equal(grads[leaf.id].value.data, full[leaf.id].value.data)
+        assert unused.id not in backward_nodes(g, y, g.leaf(Tensor(1.0)), [unused, x])
+
+    def test_wrt_node_from_another_graph(self):
+        g, other = Graph(), Graph()
+        x = g.leaf(Tensor([1.0]))
+        y = g.reduce_sum(x)
+        with pytest.raises(GraphError, match="wrt"):
+            backward_nodes(g, y, g.leaf(Tensor(1.0)), [other.leaf(Tensor([1.0]))])
 
     def test_arena_is_append_only_and_values_frozen(self):
         g = Graph()
