@@ -55,7 +55,7 @@ class ExperimentConfig:
     init_scale: float = 0.1
     lr: float = 1e-3
     grad_clamp_norm: float = 0.0            # 0 disables clamping
-    on_unconverged: str = "warn"            # or "abort"
+    on_unconverged: str = "warn"            # or "abort": on a forward or backward solve
     # fixed-point solver
     tol: float = 1e-6
     criterion: str = "relative_beta"
@@ -317,10 +317,13 @@ def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
                 batch_loss += loss.value.item()
                 if run.is_fpi:
                     stats.record_node(xnode)
-                    res = xnode.attrs["result"]
-                    if not res.converged and cfg.on_unconverged == "abort":
-                        raise RuntimeError(f"forward solve failed to converge (residual "
-                                           f"{res.residual:.3e}); aborting per policy")
+                    if cfg.on_unconverged == "abort":
+                        for solve, res in (("forward", xnode.attrs["result"]),
+                                           ("backward", xnode.attrs["backward_result"])):
+                            if not res.converged:
+                                raise RuntimeError(
+                                    f"{solve} solve failed to converge (residual "
+                                    f"{res.residual:.3e}); aborting per policy")
             grads = Parameters({n: Tensor(acc[n] / pairs) for n in names})
             if cfg.grad_clamp_norm > 0:
                 grads = grad_clamp(grads, cfg.grad_clamp_norm)

@@ -90,12 +90,14 @@ def convergence_check(x_prev: Tensor, x_next: Tensor, cfg: FpiConfig) -> tuple[b
 def forward_fpi(g, x0: Tensor, z, theta, cfg: FpiConfig) -> FixedPointResult:
     """Iterate x <- g(x, z; theta) until the convergence criterion passes.
 
-    No gradients are recorded; each application of g runs on a throwaway
-    graph.  A non-finite iterate raises DivergenceError with its index;
-    exhausting max_iter returns converged=False and leaves policy to the
-    caller.
+    No gradients are recorded: each application of g is ``g.apply``, which
+    evaluates values only.  A non-finite iterate raises DivergenceError with
+    its index; exhausting max_iter returns converged=False and leaves policy
+    to the caller.
     """
     x = T.as_tensor(x0)
+    if z is not None:   # the cotangent iteration passes none
+        z = T.as_tensor(z)
     residual = float("inf")
     for n in range(1, cfg.max_iter + 1):
         try:

@@ -13,16 +13,23 @@ with the derivatives on the retained independent graph.
 Each differentiable kernel of ``fpx.tensor`` is one row of ``_OPS``: its
 kind, which is the kernel's name, the names of the kernel arguments that
 follow the node operands (the node keeps them as attrs) and one VJP per
-operand.  The table sets the ``Graph`` method of that name and fills the rule
-registry; only ``leaf``, ``concat`` and the compositions ``mean``,
-``sq_norm`` and ``dot`` are written out as methods.  A reverse sweep builds
-an operand's VJP only when the operand depends on a leaf the caller reads;
-the registered rules that share work across operands (``concat``,
-``partial_diff`` and ``fpi_layer``) get the mask of needed parents.
+operand.  The table builds two surfaces under the same method names: the
+``Graph`` methods, which record nodes, and the ``Evaluator`` methods, which
+apply the kernel to tensors and record nothing (forward iterates, which are
+never differentiated, run on an evaluator).  It also fills the rule
+registry.  Only ``leaf``, ``concat`` and the compositions ``mean``,
+``sq_norm`` and ``dot`` are written out, once, and both surfaces share them.
+A reverse sweep builds an operand's VJP only when the operand depends on a
+leaf the caller reads; the registered rules that share work across operands
+(``concat``, ``partial_diff`` and ``fpi_layer``) get the mask of needed
+parents.  A graph keeps the dependent set of each pruned sweep until a
+rollback drops its output, so sweeps repeated over a retained arena scan it
+once.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import Callable, Sequence
 
@@ -94,10 +101,12 @@ class Node:
 class Graph:
     """Append-only arena of nodes; parents always precede children."""
 
-    __slots__ = ("nodes", "__weakref__")
+    __slots__ = ("nodes", "_deps", "__weakref__")
 
     def __init__(self):
         self.nodes: list[Node] = []
+        # (output id, wrt ids) -> dependent set, see backward_nodes
+        self._deps: dict[tuple, list[bool]] = {}
 
     def __len__(self):
         return len(self.nodes)
@@ -110,6 +119,10 @@ class Graph:
         node = Node(len(self.nodes), kind, parents, value, attrs, self)
         self.nodes.append(node)
         return node
+
+    @staticmethod
+    def _value(node: Node) -> Tensor:
+        return node.value
 
     def contains(self, node: Node) -> bool:
         return 0 <= node.id < len(self.nodes) and self.nodes[node.id] is node
@@ -126,26 +139,48 @@ class Graph:
         keep using nodes from the dropped range.
         """
         del self.nodes[mark:]
+        if any(out >= mark for out, _ in self._deps):
+            self._deps = {key: dep for key, dep in self._deps.items() if key[0] < mark}
 
-    # -- leaves, concat and compositions; the op table sets the other ops ---
+    # -- leaves, concat and compositions, shared with Evaluator; the op table
+    # sets the other ops --------------------------------------------------------
 
     def leaf(self, value) -> Node:
         return self._append("leaf", (), T.as_tensor(value))
 
     def concat(self, parts: Sequence[Node], axis: int = 0) -> Node:
-        value = T.concat([p.value for p in parts], axis)
+        value = T.concat([self._value(p) for p in parts], axis)
         return self._append("concat", tuple(parts), value, {"axis": axis})
 
     def mean(self, a: Node) -> Node:
-        if a.value.size == 0:
+        size = math.prod(a.shape)
+        if size == 0:
             raise ShapeError("mean of an empty tensor")
-        return self.scale(self.reduce_sum(a), 1.0 / a.value.size)
+        return self.scale(self.reduce_sum(a), 1.0 / size)
 
     def sq_norm(self, a: Node) -> Node:
         return self.reduce_sum(self.mul(a, a))
 
     def dot(self, a: Node, b: Node) -> Node:
         return self.reduce_sum(self.mul(a, b))
+
+
+class Evaluator:
+    """The op table's value-only surface: ``Graph``'s methods under the same
+    names, applied to tensors.  Nothing is recorded, so nothing can be
+    differentiated, and each intermediate dies as soon as it is unused."""
+
+    __slots__ = ()
+
+    def _append(self, kind: str, parents: tuple, value: Tensor, attrs: dict | None = None):
+        return value
+
+    @staticmethod
+    def _value(value: Tensor) -> Tensor:
+        return value
+
+    leaf, concat, mean = Graph.leaf, Graph.concat, Graph.mean
+    sq_norm, dot = Graph.sq_norm, Graph.dot
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +209,15 @@ def _method(kind: str, arity: int, names: tuple[str, ...]):
             attrs = dict(zip(names, args, strict=True))
             return self._append(kind, (a, b), getattr(T, kind)(a.value, b.value, *args), attrs)
     method.__name__, method.__qualname__ = kind, f"Graph.{kind}"
+    return method
+
+
+def _value_method(kind: str):
+    """``Evaluator.<kind>``: kernel ``fpx.tensor.<kind>``, looked up at every
+    call, on the operand tensors and the arguments after them."""
+    def method(self, *args):
+        return getattr(T, kind)(*args)
+    method.__name__, method.__qualname__ = kind, f"Evaluator.{kind}"
     return method
 
 
@@ -243,6 +287,7 @@ _OPS = (
 
 for _kind, _arity, _names, _ in _OPS:
     setattr(Graph, _kind, _method(_kind, _arity, _names))
+    setattr(Evaluator, _kind, _value_method(_kind))
 
 
 def _operandwise(vjps):
@@ -284,8 +329,6 @@ def _dependents(graph: Graph, output: Node, wrt: Sequence[Node] | None) -> list[
         return [True] * (output.id + 1)
     dep = [False] * (output.id + 1)
     for w in wrt:
-        if not graph.contains(w):
-            raise GraphError(f"wrt node {w!r} is not part of this graph")
         if w.id <= output.id:
             dep[w.id] = True
     nodes = graph.nodes
@@ -310,13 +353,25 @@ def backward_nodes(graph: Graph, output: Node, seed: Node,
     accumulated in the same order whatever ``wrt`` is.
 
     The returned nodes live on ``graph``, so any of them can be differentiated
-    again by a later sweep.
+    again by a later sweep.  The dependent set of a given ``output`` and
+    ``wrt`` is computed once and kept on ``graph`` until a rollback drops
+    ``output``: nodes up to ``output`` never change while it lives, so
+    repeated sweeps over a retained arena reuse it.
     """
     if not graph.contains(output):
         raise GraphError("output node is not part of this graph")
     if seed.value.shape != output.value.shape:
         raise ShapeError(f"seed shape {seed.value.shape} != output shape {output.value.shape}")
-    dep = _dependents(graph, output, wrt)
+    if wrt is None:
+        dep = _dependents(graph, output, None)
+    else:
+        for w in wrt:
+            if not graph.contains(w):
+                raise GraphError(f"wrt node {w!r} is not part of this graph")
+        key = (output.id, tuple(w.id for w in wrt))
+        dep = graph._deps.get(key)
+        if dep is None:
+            dep = graph._deps[key] = _dependents(graph, output, wrt)
     grads: dict[int, Node] = {output.id: seed}
     for nid in range(output.id, -1, -1):
         node = graph.nodes[nid]
@@ -393,8 +448,8 @@ class _PartialState:
 
     ``mark`` remembers the arena size right after the forward pass and first
     differentiation; every backward sweep through the operator appends its
-    contraction nodes, reads off the values, and rolls back to the mark, so
-    repeated sweeps never grow the retained graph.
+    seed and second-derivative nodes, reads off the values, and rolls back to
+    the mark, so repeated sweeps never grow the retained graph.
     """
 
     __slots__ = ("inner", "leaves", "grad_nodes", "mark")
@@ -415,7 +470,8 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     differentiates ``r`` there w.r.t. the ``wrt`` clones only, and re-attaches
     the derivatives to ``graph`` as outputs whose own backward rule contracts
     second derivatives on the retained independent graph, w.r.t. the clones
-    whose outer parents the caller's sweep needs.
+    whose outer parents the caller's sweep needs.  On an ``Evaluator`` it
+    returns the derivative values and retains nothing.
     """
     if set(s) != set(r.input_names):
         raise GraphError(f"{r.name} expects inputs {r.input_names}, got {sorted(s)}")
@@ -426,7 +482,7 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
             raise GraphError(f"cannot differentiate w.r.t. unknown input {w!r}")
 
     inner = Graph()
-    leaves = {n: inner.leaf(s[n].value) for n in names}
+    leaves = {n: inner.leaf(graph._value(s[n])) for n in names}
     outs = r.build(inner, leaves)
     if len(outs) != 1 or outs[0].value.size != 1:
         raise ShapeError("partial_diff expects a single scalar output")
@@ -436,6 +492,8 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     for w in wrt:
         gn = gmap.get(leaves[w].id)
         grad_nodes[w] = gn if gn is not None else inner.leaf(T.zeros(s[w].shape))
+    if isinstance(graph, Evaluator):
+        return [grad_nodes[w].value for w in wrt]
 
     state = _PartialState(inner, leaves, grad_nodes)
     parents = tuple(s[n] for n in names)
@@ -448,12 +506,12 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
 def _vjp_partial_diff(g, node, seed, need):
     state: _PartialState = node.attrs["state"]
     inner = state.inner
-    # eta = <delta, d r / d s_w> built on the retained independent graph; the
-    # incoming gradient enters as a detached leaf (no derivatives for it).
-    delta = inner.leaf(seed.value)
-    eta = inner.dot(delta, state.grad_nodes[node.attrs["wrt"]])
+    # the gradient of <delta, d r / d s_w>: one sweep on the retained
+    # independent graph from d r / d s_w, seeded with the incoming gradient
+    # as a detached leaf (no derivatives for it).  The output lies below the
+    # mark, so the graph keeps its dependent set across calls.
     leaves = [state.leaves[name] for name in node.attrs["names"]]
-    second = backward_nodes(inner, eta, inner.leaf(T.ones(())),
+    second = backward_nodes(inner, state.grad_nodes[node.attrs["wrt"]], inner.leaf(seed.value),
                             [leaf for leaf, k in zip(leaves, need) if k])
     outs: list[Node | None] = []
     for leaf in leaves:

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import tensor as T
-from .graph import FunctionObject, Graph, Node, partial_diff
+from .graph import Evaluator, FunctionObject, Graph, Node, partial_diff
 from .tensor import ShapeError, Tensor
 
 
@@ -146,6 +146,8 @@ class GModule:
         raise NotImplementedError
 
     def build(self, g: Graph, x: Node, z: Node, params: dict[str, Node]) -> Node:
+        """The module's output built on ``g``: nodes on a ``Graph``, tensors
+        on an ``Evaluator`` (the op table gives both the same methods)."""
         raise NotImplementedError
 
     def init_params(self, scale: float, rng: np.random.Generator) -> Parameters:
@@ -159,9 +161,9 @@ class GModule:
                               name=type(self).__name__)
 
     def apply(self, x: Tensor, z: Tensor, params: Parameters) -> Tensor:
-        g = Graph()
-        nodes = {name: g.leaf(params[name]) for name in self.param_names}
-        return self.build(g, g.leaf(x), g.leaf(z), nodes).value
+        """The module's output value: ``build`` on an ``Evaluator``, so no
+        graph is recorded."""
+        return self.build(Evaluator(), x, z, params)
 
 
 def _affine(g: Graph, w: Node, x: Node, b: Node) -> Node:

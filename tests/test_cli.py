@@ -171,6 +171,21 @@ class TestRunners:
         assert [r[4] for r in rows if r[3] == "convergence_flag"] == [1.0]
         assert all(r[4] == 1.0 for r in rows if r[3] == "fpi_unconverged_rate")
 
+    def test_unconverged_backward_solve_policy(self, tmp_path):
+        # an untrained fpi_gd forward solve stops after one step, while its
+        # backward solve runs to max_iter
+        ini = tmp_path / "run.ini"
+        ini.write_text("[experiment]\non_unconverged = abort\n[fpi]\nmax_iter = 5\n")
+        sizes = dict(model="fpi_gd", n_train=200, n_test=60, epochs=2, hidden=16)
+        cfg = make_config("toybox", str(ini), out_dir=str(tmp_path / "abort"), **sizes)
+        with pytest.raises(RuntimeError, match="backward solve failed to converge"):
+            run_toybox(cfg)
+        cfg = make_config("toybox", str(ini), out_dir=str(tmp_path / "warn"),
+                          on_unconverged="warn", **sizes)
+        rows = run_toybox(cfg)
+        assert [r[4] for r in rows if r[3] == "fpi_unconverged_rate"] == [0.0, 0.0]
+        assert [r[4] for r in rows if r[3] == "fpi_backward_unconverged_rate"] == [1.0, 1.0]
+
     def test_denoise_runs_both_models(self, tmp_path):
         cfg = _tiny_config("denoise", tmp_path, tmp_path / "out")
         rows = run_denoise(cfg)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fpx import graph as graph_mod
 from fpx import tensor as T
 from fpx.fpi import (
     BackwardFpiResult,
@@ -279,6 +280,26 @@ class TestCotangentIteration:
         it.final_grads(c)
         assert len(calls) == 2      # one per conv kernel
 
+    @pytest.mark.parametrize("kind", ["MlpG", "GdG"])
+    def test_dependent_sets_are_computed_once_per_solve(self, kind, monkeypatch):
+        # every step sweeps the same retained arenas, which keep their
+        # dependent sets, so a longer solve scans them no more often
+        module, x, z, theta, grad_out, _ = _cotangent_case(kind)
+        original, calls = graph_mod._dependents, []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(graph_mod, "_dependents", counting)
+        counts = []
+        for max_iter in (2, 8):
+            calls.clear()
+            res = backward_fpi(module, x, z, theta, grad_out,
+                               FpiConfig(tol=1e-300, max_iter=max_iter))
+            assert res.iterations == max_iter
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_gd_step_differentiates_only_through_x(self, monkeypatch):
         module, x, z, theta, grad_out, c = _cotangent_case("GdG")
         it = _CotangentIteration(module, x, z, theta, grad_out)
@@ -484,7 +505,6 @@ class TestFpiLayerNode:
             cfg = FpiConfig(tol=tol, criterion=Criterion.ABSOLUTE_BETA, max_iter=5000)
             res = forward_fpi(g, T.zeros((6, 1)), z, theta, cfg)
             iters.append(res.iterations)
-            import fpx.graph as graph_mod
             graph_mod.reset_peak_live_node_count()
             base = live_node_count()
             backward_fpi(g, res.x_hat, z, theta, T.ones((6, 1)), cfg)

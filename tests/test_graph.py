@@ -3,9 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
+from fpx import graph as graph_mod
 from fpx import tensor as T
 from fpx.graph import (
     _OPS,
+    Evaluator,
     FunctionObject,
     Graph,
     GraphError,
@@ -109,6 +111,34 @@ class TestBackward:
         with pytest.raises(GraphError, match="wrt"):
             backward_nodes(g, y, g.leaf(Tensor(1.0)), [other.leaf(Tensor([1.0]))])
 
+    def test_repeated_sweeps_reuse_the_dependent_set(self, monkeypatch):
+        g = Graph()
+        x, w = g.leaf(Tensor([1.0, 2.0])), g.leaf(Tensor([3.0, -1.0]))
+        y = g.reduce_sum(g.mul(g.sigmoid(x), w))
+        mark = g.mark()
+        original, calls = graph_mod._dependents, []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(graph_mod, "_dependents", counting)
+        first = backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])[x.id].value.data
+        g.rollback(mark)
+        again = backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])[x.id].value.data
+        assert len(calls) == 1 and np.array_equal(first, again)
+        backward_nodes(g, y, g.leaf(Tensor(1.0)), [w])
+        assert len(calls) == 2      # another wrt set is another dependent set
+
+    def test_rollback_drops_the_dependent_sets_of_dropped_outputs(self):
+        g = Graph()
+        x, w = g.leaf(Tensor([1.0, 2.0])), g.leaf(Tensor([3.0, -1.0]))
+        mark = g.mark()
+        y = g.reduce_sum(w)
+        assert x.id not in backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])
+        g.rollback(mark)
+        y = g.reduce_sum(x)     # the dropped output's id, but it depends on x
+        assert x.id in backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])
+
     def test_arena_is_append_only_and_values_frozen(self):
         g = Graph()
         x = g.leaf(Tensor([1.0]))
@@ -196,6 +226,20 @@ class TestOpTable:
         node = getattr(g, kind)(*[g.leaf(Tensor(x)) for x in xs], *args)
         assert calls == [kind] and node.kind == kind
         np.testing.assert_array_equal(node.value.data, kernel(*map(Tensor, xs), *args).data)
+
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_evaluator_method_calls_the_module_kernel(self, kind, monkeypatch):
+        xs, args = _op_case(kind, np.random.default_rng(41))
+        kernel, calls = getattr(T, kind), []
+
+        def counting(*a):
+            calls.append(kind)
+            return kernel(*a)
+        monkeypatch.setattr(T, kind, counting)
+        assert inspect.isfunction(vars(Evaluator)[kind])
+        out = getattr(Evaluator(), kind)(*map(Tensor, xs), *args)
+        assert calls == [kind] and isinstance(out, Tensor)
+        np.testing.assert_array_equal(out.data, kernel(*map(Tensor, xs), *args).data)
 
     @pytest.mark.parametrize("kind", _KINDS)
     def test_vjp_matches_central_differences(self, kind):
@@ -402,6 +446,33 @@ class TestPartialDiff:
         ident = FunctionObject(["x"], lambda gg, ins: ins["x"], name="ident")
         with pytest.raises(ShapeError):
             partial_diff(g, {"x": x}, ident)
+
+
+class TestEvaluator:
+    """The value-only surface computes what a graph would, and records
+    nothing."""
+
+    def test_shared_methods_match_the_graph(self):
+        rng = np.random.default_rng(53)
+        a, b = (Tensor(rng.standard_normal((3, 2))) for _ in range(2))
+        ev, g = Evaluator(), Graph()
+        na, nb = g.leaf(a), g.leaf(b)
+        assert ev.leaf(a) is a
+        for got, want in [(ev.concat([a, b], 1), g.concat([na, nb], 1)),
+                          (ev.mean(a), g.mean(na)), (ev.sq_norm(a), g.sq_norm(na)),
+                          (ev.dot(a, b), g.dot(na, nb))]:
+            assert np.array_equal(got.data, want.value.data)
+        with pytest.raises(ShapeError):
+            ev.mean(T.zeros((0,)))
+
+    def test_partial_diff_returns_values_and_keeps_no_node(self):
+        xv = np.random.default_rng(59).standard_normal(4)
+        g = Graph()
+        (want,) = partial_diff(g, {"x": g.leaf(Tensor(xv))}, _poly_fo())
+        base = live_node_count()
+        (got,) = partial_diff(Evaluator(), {"x": Tensor(xv)}, _poly_fo())
+        assert isinstance(got, Tensor) and np.array_equal(got.data, want.value.data)
+        assert live_node_count() == base
 
 
 class TestInnerBuilder:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from fpx import graph as graph_mod
 from fpx import tensor as T
+from fpx.fpi import FpiConfig, forward_fpi
 from fpx.graph import Graph, backward
 from fpx.layers import (
+    AffineG,
     ConvG,
     EnergyNet,
     GdG,
@@ -19,6 +22,48 @@ from fpx.layers import (
 from fpx.tensor import ShapeError, Tensor
 
 from reference import central_diff, rel_err
+
+
+def _module_case(kind: str):
+    """A module with parameters and state/input values at small shapes."""
+    rng = np.random.default_rng(97)
+    module, x_shape, z_shape = {
+        "AffineG": (AffineG(4), (4, 3), (4, 3)),
+        "MlpG": (MlpG(4, 3, 5), (4, 3), (3, 3)),
+        "MlpG-linear": (MlpG(4, 3, 5, final_sigmoid=False), (4, 3), (3, 3)),
+        "ConvG": (ConvG(channels=4), (1, 6, 6), (1, 6, 6)),
+        "EnergyNet": (EnergyNet(3, 2, 5), (3, 4), (2, 4)),
+        "GdG": (GdG(EnergyNet(3, 2, 5), gamma=0.5), (3, 4), (2, 4)),
+        "GdG-body": (GdG(EnergyNet(3, 2, 5, body_dim=3), gamma=0.5), (3, 4), (2, 4)),
+    }[kind]
+    theta = module.init_params(0.5, rng)
+    x, z = (Tensor(rng.standard_normal(s)) for s in (x_shape, z_shape))
+    return module, x, z, theta
+
+
+class TestApply:
+    """``apply`` evaluates ``build`` without recording a graph."""
+
+    @pytest.mark.parametrize("kind", ["AffineG", "MlpG", "MlpG-linear", "ConvG",
+                                      "EnergyNet", "GdG", "GdG-body"])
+    def test_equals_the_graph_build(self, kind):
+        module, x, z, theta = _module_case(kind)
+        g = Graph()
+        nodes = {n: g.leaf(theta[n]) for n in module.param_names}
+        want = module.build(g, g.leaf(x), g.leaf(z), nodes).value
+        got = module.apply(x, z, theta)
+        assert isinstance(got, Tensor) and np.array_equal(got.data, want.data)
+
+    @pytest.mark.parametrize("kind", ["MlpG", "ConvG"])
+    def test_forward_solve_makes_no_node(self, kind):
+        module, _, z, theta = _module_case(kind)
+        graph_mod.reset_peak_live_node_count()
+        base = graph_mod.live_node_count()
+        res = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta,
+                          FpiConfig(tol=1e-12, max_iter=50))
+        assert res.iterations > 1
+        assert graph_mod.live_node_count() == base
+        assert graph_mod.peak_live_node_count() == base
 
 
 class TestMlpG:
