@@ -118,10 +118,11 @@ class _CotangentIteration:
 
     dh/dx with h = <c, g> is one VJP through a single application of g.  The
     graph of that single application is built once; every step then runs one
-    reverse sweep seeded with the current cotangent and rolls the arena back,
-    so memory stays flat no matter how many steps the solve takes.  A step's
-    sweep is pruned to the nodes that depend on x; only ``final_grads``, run
-    once with the converged cotangent, differentiates w.r.t. theta and z.
+    value sweep over it, seeded with the current cotangent tensor, which adds
+    no node, so memory stays flat no matter how many steps the solve takes.
+    A step's sweep is pruned to the nodes that depend on x; only
+    ``final_grads``, run once with the converged cotangent, differentiates
+    w.r.t. theta and z.
     """
 
     def __init__(self, g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
@@ -132,29 +133,20 @@ class _CotangentIteration:
         self._z = self._graph.leaf(z)
         self._theta = {n: self._graph.leaf(theta[n]) for n in g.param_names}
         self._out = g.build(self._graph, self._x, self._z, self._theta)
-        self._mark = self._graph.mark()
-
-    def _sweep(self, c: Tensor, wrt: list[Node]) -> dict[int, Node]:
-        return backward_nodes(self._graph, self._out, self._graph.leaf(c), wrt)
 
     def step(self, c: Tensor) -> Tensor:
-        grads = self._sweep(c, [self._x])
-        gx = grads.get(self._x.id)
-        value = T.add(gx.value, self._grad_out) if gx is not None else self._grad_out
-        self._graph.rollback(self._mark)
-        return value
+        gx = backward_nodes(self._graph, self._out, c, [self._x]).get(self._x.id)
+        return T.add(gx, self._grad_out) if gx is not None else self._grad_out
 
     def final_grads(self, c: Tensor) -> tuple[Parameters, Tensor]:
         """One more sweep with the converged cotangent reads off dh/dtheta, dh/dz."""
-        grads = self._sweep(c, [*self._theta.values(), self._z])
+        grads = backward_nodes(self._graph, self._out, c, [*self._theta.values(), self._z])
         theta = Parameters()
         for name, leaf in self._theta.items():
-            gn = grads.get(leaf.id)
-            theta[name] = gn.value if gn is not None else T.zeros(leaf.shape)
+            gv = grads.get(leaf.id)
+            theta[name] = gv if gv is not None else T.zeros(leaf.shape)
         gz = grads.get(self._z.id)
-        grad_z = gz.value if gz is not None else T.zeros(self._z.shape)
-        self._graph.rollback(self._mark)
-        return theta, grad_z
+        return theta, gz if gz is not None else T.zeros(self._z.shape)
 
     # GModule-style surface so forward_fpi can drive the iteration
     def apply(self, c: Tensor, z, theta) -> Tensor:
@@ -168,9 +160,11 @@ def backward_fpi(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters,
     Solves c = (dg/dx)^T c + grad_out by fixed-point iteration (one VJP per
     step, driven by forward_fpi under the absolute criterion, since c carries
     no natural scale), then reads the gradients off one more VJP with the
-    converged cotangent.  Hitting max_iter returns the best-effort gradient
-    with ``converged`` False and does not warn: like forward_fpi, the solver
-    reports through its result and leaves policy to the caller.
+    converged cotangent.  Each VJP is a value sweep over one recorded
+    application of g, so the solve adds no node after building it.  Hitting
+    max_iter returns the best-effort gradient with ``converged`` False and
+    does not warn: like forward_fpi, the solver reports through its result
+    and leaves policy to the caller.
     """
     if grad_out.shape != x_hat.shape:
         raise ShapeError(f"grad_out shape {grad_out.shape} != state shape {x_hat.shape}")
@@ -334,7 +328,7 @@ def _vjp_fpi_layer(g, node, seed, need):
     module: GModule = node.attrs["module"]
     z_node = node.parents[0]
     theta = Parameters({n: p.value for n, p in zip(module.param_names, node.parents[1:])})
-    res = backward_fpi(module, node.value, z_node.value, theta, seed.value,
+    res = backward_fpi(module, node.value, z_node.value, theta, g._value(seed),
                        node.attrs["cfg"])
     node.attrs["backward_result"] = res
     # gradients re-enter the caller's graph as leaves: the layer supports

@@ -15,16 +15,21 @@ kind, which is the kernel's name, the names of the kernel arguments that
 follow the node operands (the node keeps them as attrs) and one VJP per
 operand.  The table builds two surfaces under the same method names: the
 ``Graph`` methods, which record nodes, and the ``Evaluator`` methods, which
-apply the kernel to tensors and record nothing (forward iterates, which are
-never differentiated, run on an evaluator).  It also fills the rule
-registry.  Only ``leaf``, ``concat`` and the compositions ``mean``,
-``sq_norm`` and ``dot`` are written out, once, and both surfaces share them.
-A reverse sweep builds an operand's VJP only when the operand depends on a
-leaf the caller reads; the registered rules that share work across operands
-(``concat``, ``partial_diff`` and ``fpi_layer``) get the mask of needed
-parents.  A graph keeps the dependent set of each pruned sweep until a
-rollback drops its output, so sweeps repeated over a retained arena scan it
-once.
+apply the kernel to tensors (or to the values of nodes) and record nothing.
+It also fills the rule registry.  Only ``leaf``, ``concat`` and the
+compositions ``mean``, ``sq_norm`` and ``dot`` are written out, once, and
+both surfaces share them.
+
+A reverse sweep runs the same rules on either surface: a ``Node`` seed
+builds the gradients as nodes, which a later sweep can differentiate again,
+and a ``Tensor`` seed builds them as values on an evaluator.  Every sweep
+whose gradients are only read (``backward``, the backward solver's steps,
+forward iterates' ``partial_diff``) is a value sweep, so a graph grows only
+while it is built.  A sweep builds an operand's VJP only when the operand
+depends on a leaf the caller reads; the registered rules that share work
+across operands (``concat``, ``partial_diff`` and ``fpi_layer``) get the mask
+of needed parents.  Node ids never change, so a graph keeps the dependent
+set of each pruned sweep and repeated sweeps over it scan it once.
 """
 
 from __future__ import annotations
@@ -94,6 +99,18 @@ class Node:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
+    @property
+    def size(self) -> int:
+        return self.value.size
+
+    @property
+    def data(self) -> np.ndarray:
+        """The value's array.  With ``shape`` and ``size`` it is all a kernel
+        reads of an operand, so kernels take a node where a rule passes one:
+        that is how a value sweep runs the rules of a recorded graph on an
+        ``Evaluator``."""
+        return self.value.data
+
     def __repr__(self):
         return f"Node({self.id}, {self.kind}, shape={self.shape})"
 
@@ -127,21 +144,6 @@ class Graph:
     def contains(self, node: Node) -> bool:
         return 0 <= node.id < len(self.nodes) and self.nodes[node.id] is node
 
-    def mark(self) -> int:
-        return len(self.nodes)
-
-    def rollback(self, mark: int):
-        """Drop every node appended after ``mark``.
-
-        Parents only ever point backward in the arena, so a suffix is never
-        referenced by what precedes it; dropping one is how repeated reverse
-        sweeps over a fixed subgraph stay constant-memory.  Callers must not
-        keep using nodes from the dropped range.
-        """
-        del self.nodes[mark:]
-        if any(out >= mark for out, _ in self._deps):
-            self._deps = {key: dep for key, dep in self._deps.items() if key[0] < mark}
-
     # -- leaves, concat and compositions, shared with Evaluator; the op table
     # sets the other ops --------------------------------------------------------
 
@@ -167,8 +169,9 @@ class Graph:
 
 class Evaluator:
     """The op table's value-only surface: ``Graph``'s methods under the same
-    names, applied to tensors.  Nothing is recorded, so nothing can be
-    differentiated, and each intermediate dies as soon as it is unused."""
+    names, applied to tensors (or to nodes, which kernels read as their
+    values).  Nothing is recorded, so nothing can be differentiated, and each
+    intermediate dies as soon as it is unused."""
 
     __slots__ = ()
 
@@ -184,8 +187,9 @@ class Evaluator:
 
 
 # ---------------------------------------------------------------------------
-# the op table: one row per differentiable kernel.  Each rule builds graph
-# nodes, so rules compose to arbitrary order.
+# the op table: one row per differentiable kernel.  Each rule builds its
+# result on the surface it is given: nodes on a graph, so rules compose to
+# arbitrary order, or values on an evaluator.
 
 
 def _method(kind: str, arity: int, names: tuple[str, ...]):
@@ -247,7 +251,7 @@ def _vjp_pad_zeros(g, node, seed):
 
 
 # (kind, node operands, attrs: the kernel's arguments after the operands,
-#  one vjp(graph, node, seed) -> gradient node per operand)
+#  one vjp(surface, node, seed) -> gradient per operand)
 _OPS = (
     ("add", 2, (), (lambda g, n, s: s, lambda g, n, s: s)),
     ("sub", 2, (), (lambda g, n, s: s, lambda g, n, s: g.scale(s, -1.0))),
@@ -305,9 +309,10 @@ def _vjp_concat(g, node, seed, need):
     return outs
 
 
-# rule(graph, node, seed, need) -> one gradient node per parent, None where
-# the parent is not needed or gets none
-_VJPS: dict[str, Callable[[Graph, Node, Node, list[bool]], list[Node | None]]] = {
+# rule(surface, node, seed, need) -> one gradient per parent, on the seed's
+# surface, None where the parent is not needed or gets none
+_VJPS: dict[str, Callable[[Graph | Evaluator, Node, Node | Tensor, list[bool]],
+                          list[Node | Tensor | None]]] = {
     "concat": _vjp_concat, **{kind: _operandwise(vjps) for kind, _, _, vjps in _OPS}}
 
 
@@ -340,9 +345,12 @@ def _dependents(graph: Graph, output: Node, wrt: Sequence[Node] | None) -> list[
     return dep
 
 
-def backward_nodes(graph: Graph, output: Node, seed: Node,
-                   wrt: Sequence[Node] | None = None) -> dict[int, Node]:
-    """Reverse sweep returning gradient *nodes* keyed by node id.
+_VALUES = Evaluator()
+
+
+def backward_nodes(graph: Graph, output: Node, seed: Node | Tensor,
+                   wrt: Sequence[Node] | None = None) -> dict[int, Node | Tensor]:
+    """Reverse sweep returning gradients keyed by node id.
 
     The sweep visits only the nodes reached from ``output`` that depend on a
     node of ``wrt``, and a rule builds a parent's contribution only when that
@@ -352,16 +360,18 @@ def backward_nodes(graph: Graph, output: Node, seed: Node,
     only dependent children, so the entries it gets are the full gradients,
     accumulated in the same order whatever ``wrt`` is.
 
-    The returned nodes live on ``graph``, so any of them can be differentiated
-    again by a later sweep.  The dependent set of a given ``output`` and
-    ``wrt`` is computed once and kept on ``graph`` until a rollback drops
-    ``output``: nodes up to ``output`` never change while it lives, so
-    repeated sweeps over a retained arena reuse it.
+    A ``Node`` seed builds the gradients as nodes on ``graph``, so any of
+    them can be differentiated again by a later sweep.  A ``Tensor`` seed
+    runs the same rules on an ``Evaluator`` and returns tensors: the same
+    kernels in the same order, so the same values, and no node recorded.
+    The dependent set of a given ``output`` and ``wrt`` is computed once and
+    kept on ``graph``: nodes up to ``output`` never change, so repeated
+    sweeps over a retained arena reuse it.
     """
     if not graph.contains(output):
         raise GraphError("output node is not part of this graph")
-    if seed.value.shape != output.value.shape:
-        raise ShapeError(f"seed shape {seed.value.shape} != output shape {output.value.shape}")
+    if seed.shape != output.shape:
+        raise ShapeError(f"seed shape {seed.shape} != output shape {output.shape}")
     if wrt is None:
         dep = _dependents(graph, output, None)
     else:
@@ -372,7 +382,8 @@ def backward_nodes(graph: Graph, output: Node, seed: Node,
         dep = graph._deps.get(key)
         if dep is None:
             dep = graph._deps[key] = _dependents(graph, output, wrt)
-    grads: dict[int, Node] = {output.id: seed}
+    surface = graph if isinstance(seed, Node) else _VALUES
+    grads = {output.id: seed}
     for nid in range(output.id, -1, -1):
         node = graph.nodes[nid]
         if nid not in grads or node.is_leaf or not dep[nid]:
@@ -381,11 +392,11 @@ def backward_nodes(graph: Graph, output: Node, seed: Node,
         if rule is None:
             raise NonDifferentiableError(f"op {node.kind!r} has no differentiation rule")
         need = [dep[p.id] for p in node.parents]
-        for parent, contrib in zip(node.parents, rule(graph, node, grads[nid], need)):
+        for parent, contrib in zip(node.parents, rule(surface, node, grads[nid], need)):
             if contrib is None:
                 continue
             if parent.id in grads:
-                grads[parent.id] = graph.add(grads[parent.id], contrib)
+                grads[parent.id] = surface.add(grads[parent.id], contrib)
             else:
                 grads[parent.id] = contrib
     return grads
@@ -395,18 +406,15 @@ def backward(graph: Graph, output: Node, seed=None) -> dict[int, Tensor]:
     """Vector-Jacobian products of ``output`` w.r.t. every reachable leaf.
 
     Returns a map from leaf node id to the accumulated gradient tensor; the
-    same tensors are also stored on the leaves' ``grad`` attribute.
+    same tensors are also stored on the leaves' ``grad`` attribute.  The
+    sweep is a value sweep: it adds no node to ``graph``.
     """
-    if seed is None:
-        seed = T.ones(output.value.shape)
-    seed_node = graph.leaf(T.as_tensor(seed))
-    grads = backward_nodes(graph, output, seed_node)
+    seed = T.ones(output.shape) if seed is None else T.as_tensor(seed)
     out: dict[int, Tensor] = {}
-    for nid, gnode in grads.items():
+    for nid, value in backward_nodes(graph, output, seed).items():
         node = graph.nodes[nid]
-        if node.is_leaf and node is not seed_node:
-            out[nid] = gnode.value
-            node.grad = gnode.value
+        if node.is_leaf:
+            out[nid] = node.grad = value
     return out
 
 
@@ -446,23 +454,21 @@ class FunctionObject:
 class _PartialState:
     """Retained independent graph shared by the outputs of one partial_diff.
 
-    ``mark`` remembers the arena size right after the forward pass and first
-    differentiation; every backward sweep through the operator appends its
-    seed and second-derivative nodes, reads off the values, and rolls back to
-    the mark, so repeated sweeps never grow the retained graph.
+    It holds the forward pass and the first differentiation as nodes; every
+    backward sweep through the operator is a value sweep over it, so
+    repeated sweeps never grow it.
     """
 
-    __slots__ = ("inner", "leaves", "grad_nodes", "mark")
+    __slots__ = ("inner", "leaves", "grad_nodes")
 
     def __init__(self, inner, leaves, grad_nodes):
         self.inner: Graph = inner
         self.leaves = leaves
         self.grad_nodes = grad_nodes
-        self.mark = inner.mark()
 
 
-def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
-                 wrt: Sequence[str] | None = None) -> list[Node]:
+def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: FunctionObject,
+                 wrt: Sequence[str] | None = None) -> list[Node | Tensor]:
     """Partial derivatives of scalar ``r`` w.r.t. ``s``, treating the entries
     of ``s`` as mutually independent.
 
@@ -470,8 +476,9 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     differentiates ``r`` there w.r.t. the ``wrt`` clones only, and re-attaches
     the derivatives to ``graph`` as outputs whose own backward rule contracts
     second derivatives on the retained independent graph, w.r.t. the clones
-    whose outer parents the caller's sweep needs.  On an ``Evaluator`` it
-    returns the derivative values and retains nothing.
+    whose outer parents the caller's sweep needs.  On an ``Evaluator`` the
+    derivatives are only read, so the differentiation is a value sweep whose
+    values are returned, and nothing is retained.
     """
     if set(s) != set(r.input_names):
         raise GraphError(f"{r.name} expects inputs {r.input_names}, got {sorted(s)}")
@@ -486,18 +493,20 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
     outs = r.build(inner, leaves)
     if len(outs) != 1 or outs[0].value.size != 1:
         raise ShapeError("partial_diff expects a single scalar output")
-    gmap = backward_nodes(inner, outs[0], inner.leaf(T.ones(outs[0].shape)),
+    # the seed and the gradients live on the evaluator or the inner graph
+    surface = graph if isinstance(graph, Evaluator) else inner
+    gmap = backward_nodes(inner, outs[0], surface.leaf(T.ones(outs[0].shape)),
                           [leaves[w] for w in wrt])
-    grad_nodes = {}
+    grads = {}
     for w in wrt:
         gn = gmap.get(leaves[w].id)
-        grad_nodes[w] = gn if gn is not None else inner.leaf(T.zeros(s[w].shape))
-    if isinstance(graph, Evaluator):
-        return [grad_nodes[w].value for w in wrt]
+        grads[w] = gn if gn is not None else surface.leaf(T.zeros(s[w].shape))
+    if surface is graph:
+        return [grads[w] for w in wrt]
 
-    state = _PartialState(inner, leaves, grad_nodes)
+    state = _PartialState(inner, leaves, grads)
     parents = tuple(s[n] for n in names)
-    return [graph._append("partial_diff", parents, grad_nodes[w].value,
+    return [graph._append("partial_diff", parents, grads[w].value,
                           {"state": state, "wrt": w, "names": names})
             for w in wrt]
 
@@ -505,20 +514,14 @@ def partial_diff(graph: Graph, s: dict[str, Node], r: FunctionObject,
 @register_vjp("partial_diff")
 def _vjp_partial_diff(g, node, seed, need):
     state: _PartialState = node.attrs["state"]
-    inner = state.inner
-    # the gradient of <delta, d r / d s_w>: one sweep on the retained
-    # independent graph from d r / d s_w, seeded with the incoming gradient
-    # as a detached leaf (no derivatives for it).  The output lies below the
-    # mark, so the graph keeps its dependent set across calls.
+    # the gradient of <delta, d r / d s_w>: one value sweep on the retained
+    # independent graph from d r / d s_w, seeded with the incoming gradient's
+    # value; its results re-enter ``g`` as leaves (no derivatives for them).
+    # The graph keeps the sweep's dependent set across calls.
     leaves = [state.leaves[name] for name in node.attrs["names"]]
-    second = backward_nodes(inner, state.grad_nodes[node.attrs["wrt"]], inner.leaf(seed.value),
+    second = backward_nodes(state.inner, state.grad_nodes[node.attrs["wrt"]], g._value(seed),
                             [leaf for leaf, k in zip(leaves, need) if k])
-    outs: list[Node | None] = []
-    for leaf in leaves:
-        gn = second.get(leaf.id)
-        outs.append(g.leaf(gn.value) if gn is not None else None)
-    inner.rollback(state.mark)
-    return outs
+    return [g.leaf(second[leaf.id]) if leaf.id in second else None for leaf in leaves]
 
 
 # ---------------------------------------------------------------------------

@@ -343,9 +343,13 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
 def pad_zeros(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     if not -a.data.ndim <= axis < a.data.ndim or before < 0 or after < 0:
         raise ShapeError(f"pad_zeros ({before}, {after}) on axis {axis} of shape {a.shape}")
-    widths = [(0, 0)] * a.data.ndim
-    widths[axis] = (before, after)
-    return _wrap(np.pad(a.data, widths))
+    shape = list(a.shape)
+    shape[axis] += before + after
+    out = np.zeros(shape)
+    idx = [slice(None)] * a.data.ndim
+    idx[axis] = slice(before, before + a.shape[axis])
+    out[tuple(idx)] = a.data
+    return _wrap(out)
 
 
 def spread(s: Tensor, shape) -> Tensor:

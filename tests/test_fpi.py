@@ -300,6 +300,23 @@ class TestCotangentIteration:
             counts.append(len(calls))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("kind", ["MlpG", "ConvG", "GdG"])
+    def test_steps_and_final_sweep_record_no_node(self, kind, monkeypatch):
+        # every sweep of the solve is a value sweep: no node on the graph of
+        # g, nor on the inner graph of GdG's partial_diff
+        module, x, z, theta, grad_out, c = _cotangent_case(kind)
+        it = _CotangentIteration(module, x, z, theta, grad_out)
+        original, appends = Graph._append, []
+
+        def counting(self, *args):
+            appends.append(self)
+            return original(self, *args)
+        monkeypatch.setattr(Graph, "_append", counting)
+        for _ in range(10):
+            c = it.step(c)
+        it.final_grads(c)
+        assert appends == []
+
     def test_gd_step_differentiates_only_through_x(self, monkeypatch):
         module, x, z, theta, grad_out, c = _cotangent_case("GdG")
         it = _CotangentIteration(module, x, z, theta, grad_out)

@@ -18,6 +18,8 @@ from fpx.graph import (
     partial_diff,
     vjp,
 )
+from fpx.fpi import FpiConfig, fpi_layer
+from fpx.layers import EnergyNet, GdG, MlpG
 from fpx.tensor import ShapeError, Tensor
 
 from reference import central_diff, rel_err
@@ -115,29 +117,17 @@ class TestBackward:
         g = Graph()
         x, w = g.leaf(Tensor([1.0, 2.0])), g.leaf(Tensor([3.0, -1.0]))
         y = g.reduce_sum(g.mul(g.sigmoid(x), w))
-        mark = g.mark()
         original, calls = graph_mod._dependents, []
 
         def counting(*args):
             calls.append(1)
             return original(*args)
         monkeypatch.setattr(graph_mod, "_dependents", counting)
-        first = backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])[x.id].value.data
-        g.rollback(mark)
-        again = backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])[x.id].value.data
+        first = backward_nodes(g, y, Tensor(1.0), [x])[x.id].data
+        again = backward_nodes(g, y, Tensor(1.0), [x])[x.id].data
         assert len(calls) == 1 and np.array_equal(first, again)
-        backward_nodes(g, y, g.leaf(Tensor(1.0)), [w])
+        backward_nodes(g, y, Tensor(1.0), [w])
         assert len(calls) == 2      # another wrt set is another dependent set
-
-    def test_rollback_drops_the_dependent_sets_of_dropped_outputs(self):
-        g = Graph()
-        x, w = g.leaf(Tensor([1.0, 2.0])), g.leaf(Tensor([3.0, -1.0]))
-        mark = g.mark()
-        y = g.reduce_sum(w)
-        assert x.id not in backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])
-        g.rollback(mark)
-        y = g.reduce_sum(x)     # the dropped output's id, but it depends on x
-        assert x.id in backward_nodes(g, y, g.leaf(Tensor(1.0)), [x])
 
     def test_arena_is_append_only_and_values_frozen(self):
         g = Graph()
@@ -277,6 +267,109 @@ class TestOpTable:
         want.append(central_diff(lambda v: s(xs, v), seed))
         assert rel_err(np.concatenate([a.ravel() for a in got]),
                        np.concatenate([a.ravel() for a in want])) < 1e-7
+
+
+def _assert_value_sweep_matches(g: Graph, output, seed: np.ndarray, wrt):
+    """A tensor seed gives, entry for entry, exactly the values of a node
+    seed's gradient nodes, and adds no node to ``g``."""
+    nodes = backward_nodes(g, output, g.leaf(Tensor(seed)), wrt)
+    size = len(g)
+    values = backward_nodes(g, output, Tensor(seed), wrt)
+    assert len(g) == size and set(values) == set(nodes)
+    for nid, node in nodes.items():
+        assert isinstance(values[nid], Tensor)
+        assert np.array_equal(values[nid].data, node.value.data)
+
+
+def _wrt(mode: str, leaves):
+    return None if mode == "all" else leaves[:1]
+
+
+class TestValueSweep:
+    """A sweep seeded with a tensor runs every rule on the value surface and
+    gives the values a node-seeded sweep would."""
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_every_table_row(self, kind, mode):
+        rng = np.random.default_rng(61)
+        xs, args = _op_case(kind, rng)
+        g = Graph()
+        leaves = [g.leaf(Tensor(x)) for x in xs]
+        out = getattr(g, kind)(*leaves, *args)
+        _assert_value_sweep_matches(g, out, rng.standard_normal(out.shape), _wrt(mode, leaves))
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    @pytest.mark.parametrize("kind", _KINDS)
+    def test_every_table_row_second_order(self, kind, mode):
+        # the output contracts the row's first-order gradient nodes
+        rng = np.random.default_rng(67)
+        xs, args = _op_case(kind, rng)
+        g = Graph()
+        leaves = [g.leaf(Tensor(x)) for x in xs]
+        op = getattr(g, kind)(*leaves, *args)
+        c = g.leaf(Tensor(rng.standard_normal(op.shape)))
+        gnodes = backward_nodes(g, op, c)
+        parts = [g.dot(g.leaf(Tensor(rng.standard_normal(leaf.shape))), gnodes[leaf.id])
+                 for leaf in leaves]
+        out = parts[0] if len(parts) == 1 else g.add(*parts)
+        _assert_value_sweep_matches(g, out, np.ones(()), _wrt(mode, [*leaves, c]))
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    def test_concat(self, mode):
+        rng = np.random.default_rng(71)
+        g = Graph()
+        leaves = [g.leaf(Tensor(rng.standard_normal(s))) for s in ((2, 3), (1, 3), (4, 3))]
+        out = g.sigmoid(g.concat(leaves[::-1], 0))
+        _assert_value_sweep_matches(g, out, rng.standard_normal(out.shape), _wrt(mode, leaves))
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    def test_partial_diff_second_order_sweep(self, mode):
+        # x = A th feeds r together with th, so the sweep reaches both
+        # clones of the retained inner graph
+        rng = np.random.default_rng(73)
+
+        def r_recipe(gg, ins):
+            return gg.reduce_sum(gg.mul(gg.mul(ins["x"], ins["x"]), gg.sigmoid(ins["th"])))
+        g = Graph()
+        th = g.leaf(Tensor(rng.standard_normal((3, 1))))
+        x = g.matmul(g.leaf(Tensor(rng.standard_normal((3, 3)))), th)
+        px, pth = partial_diff(g, {"x": x, "th": th}, FunctionObject(["x", "th"], r_recipe))
+        out = g.add(g.sq_norm(px), g.sq_norm(pth))
+        _assert_value_sweep_matches(g, out, np.ones(()), _wrt(mode, [th]))
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    def test_gd_update(self, mode):
+        rng = np.random.default_rng(79)
+        module = GdG(EnergyNet(3, 2, 5, body_dim=3), gamma=0.5)
+        theta = module.init_params(0.5, rng)
+        g = Graph()
+        x, z = g.leaf(Tensor(rng.standard_normal((3, 4)))), g.leaf(Tensor(rng.standard_normal((2, 4))))
+        out = module.build(g, x, z, {n: g.leaf(theta[n]) for n in module.param_names})
+        _assert_value_sweep_matches(g, out, rng.standard_normal(out.shape), _wrt(mode, [x, z]))
+
+    @pytest.mark.parametrize("mode", ["all", "wrt"])
+    def test_fpi_layer(self, mode):
+        rng = np.random.default_rng(83)
+        module = MlpG(state_dim=4, input_dim=3, hidden=5)
+        theta = module.init_params(0.3, rng)
+        g = Graph()
+        z = g.leaf(Tensor(rng.standard_normal((3, 2))))
+        tnodes = {n: g.leaf(theta[n]) for n in module.param_names}
+        out = g.sigmoid(fpi_layer(g, module, z, tnodes, FpiConfig(tol=1e-12)))
+        _assert_value_sweep_matches(g, out, rng.standard_normal(out.shape),
+                                    _wrt(mode, [tnodes["w1"], z]))
+
+    def test_contract_checks_hold_for_a_tensor_seed(self):
+        g, other = Graph(), Graph()
+        x = g.leaf(Tensor([1.0, 2.0]))
+        y = g.reduce_sum(x)
+        with pytest.raises(ShapeError, match="seed shape"):
+            backward_nodes(g, y, Tensor([1.0, 1.0]))
+        with pytest.raises(GraphError, match="output"):
+            backward_nodes(other, y, Tensor(1.0))
+        with pytest.raises(GraphError, match="wrt"):
+            backward_nodes(g, y, Tensor(1.0), [other.leaf(Tensor([1.0]))])
 
 
 class TestDetachClone:

@@ -65,6 +65,15 @@ class TestApply:
         assert graph_mod.live_node_count() == base
         assert graph_mod.peak_live_node_count() == base
 
+    @pytest.mark.parametrize("kind", ["GdG", "GdG-body"])
+    def test_gd_apply_keeps_no_node(self, kind):
+        # the inner energy graph is built per iterate, but its gradient is a
+        # value sweep and nothing outlives the call
+        module, x, z, theta = _module_case(kind)
+        base = graph_mod.live_node_count()
+        module.apply(x, z, theta)
+        assert graph_mod.live_node_count() == base
+
 
 class TestMlpG:
     def test_zero_parameters_give_half_vector(self):

@@ -266,6 +266,15 @@ class TestStructure:
         out = T.pad_zeros(Tensor([1.0, 2.0]), 0, 1, 2)
         assert out.data.tolist() == [0.0, 1.0, 2.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+    @pytest.mark.parametrize("before,after", [(0, 0), (0, 2), (3, 0), (1, 2)])
+    def test_pad_zeros_equals_np_pad(self, axis, before, after):
+        a = np.random.default_rng(7).standard_normal((2, 3, 4))
+        widths = [(0, 0)] * 3
+        widths[axis] = (before, after)
+        out = T.pad_zeros(Tensor(a), axis, before, after).data
+        assert out.dtype == np.float64 and np.array_equal(out, np.pad(a, widths))
+
     def test_narrow_rejects_negative_length(self):
         with pytest.raises(ShapeError):
             T.narrow(Tensor([1.0, 2.0, 3.0]), 0, 0, -1)
