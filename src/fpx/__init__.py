@@ -12,7 +12,6 @@ if _threads:
 
 from .tensor import NumericsError, ShapeError, Tensor
 from .graph import (
-    FunctionObject,
     Graph,
     GraphError,
     Node,

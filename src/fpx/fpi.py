@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .graph import FunctionObject, Graph, Node, backward, backward_nodes, register_vjp, vjp
-from .layers import GModule, Parameters
+from .graph import Graph, Node, Recipe, backward, backward_nodes, register_vjp, vjp
+from .layers import GModule, Parameters, _power_norm
 from .tensor import NumericsError, ShapeError, Tensor
 
 
@@ -197,7 +197,6 @@ def spectral_norm_jacobian(g, x_hat: Tensor, z, theta, iters: int = 30,
     if iters < 1:
         raise ValueError("iters must be >= 1")
     rng = rng or np.random.default_rng(0)
-    fo = g.function_object()
     inputs = {"x": x_hat, "z": z, **{n: theta[n] for n in g.param_names}}
 
     def jv(v: np.ndarray) -> np.ndarray:
@@ -205,28 +204,10 @@ def spectral_norm_jacobian(g, x_hat: Tensor, z, theta, iters: int = 30,
         minus = g.apply(Tensor(x_hat.data - fd_step * v), z, theta).data
         return (plus - minus) / (2.0 * fd_step)
 
-    for _ in range(4):  # bounded restarts on a degenerate start vector
-        v = rng.standard_normal(x_hat.shape)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        dead = False
-        for _ in range(iters):
-            u = jv(v)
-            nu = np.linalg.norm(u)
-            if nu == 0.0:
-                dead = True
-                break
-            w = vjp(fo, inputs, Tensor(u / nu))["x"].data
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                dead = True
-                break
-            v = w / nw
-        if not dead:
-            return float(np.linalg.norm(jv(v)))
-    return 0.0  # g is locally constant in x
+    def jtu(u: np.ndarray) -> np.ndarray:
+        return vjp(g.recipe, inputs, Tensor(u))["x"].data
+
+    return _power_norm(jv, jtu, rng.standard_normal(x_hat.shape), iters, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +219,6 @@ _ORACLE_DIM_CAP = 32
 
 def _probe_jacobians(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters):
     """Materialize dg/dx, dg/dz, dg/dtheta by basis-vector VJP probing."""
-    fo = g.function_object()
     inputs = {"x": x_hat, "z": z, **{n: theta[n] for n in g.param_names}}
     d = x_hat.size
     jx = np.zeros((d, d))
@@ -247,7 +227,7 @@ def _probe_jacobians(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters):
     for i in range(d):
         e = np.zeros(x_hat.shape)
         e.flat[i] = 1.0
-        rows = vjp(fo, inputs, Tensor(e))
+        rows = vjp(g.recipe, inputs, Tensor(e))
         jx[i] = rows["x"].data.ravel()
         jz[i] = rows["z"].data.ravel()
         for n in g.param_names:
@@ -279,11 +259,12 @@ def closed_form_gradient(g: GModule, x_hat: Tensor, z: Tensor, theta: Parameters
 
 
 def unrolled_gradient(g: GModule, x0: Tensor, z: Tensor, theta: Parameters,
-                      n_steps: int, loss: FunctionObject) -> tuple[Parameters, Tensor]:
+                      n_steps: int, loss: Recipe) -> tuple[Parameters, Tensor]:
     """Ground-truth gradient by recording every iteration in one graph.
 
-    Memory grows linearly with ``n_steps``; this is the costly path the
-    implicit layer exists to avoid, retained as an oracle.
+    ``loss`` is a recipe of the input ``x``, the last iterate.  Memory grows
+    linearly with ``n_steps``; this is the costly path the implicit layer
+    exists to avoid, retained as an oracle.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -293,7 +274,7 @@ def unrolled_gradient(g: GModule, x0: Tensor, z: Tensor, theta: Parameters,
     x = graph.leaf(x0)
     for _ in range(n_steps):
         x = g.build(graph, x, z_node, theta_nodes)
-    (loss_node,) = loss.build(graph, {"x": x})
+    loss_node = loss(graph, {"x": x})
     grads = backward(graph, loss_node, T.ones(loss_node.shape))
     grad_theta = Parameters(
         {n: grads.get(theta_nodes[n].id, T.zeros(theta[n].shape)) for n in g.param_names})

@@ -24,7 +24,7 @@ from .fpi import (
     spectral_norm_jacobian,
     unrolled_gradient,
 )
-from .graph import FunctionObject, Graph, backward, partial_diff
+from .graph import Evaluator, Graph, backward, partial_diff
 from .layers import AffineG, EnergyNet, GdG, GModule, MlpG, Parameters, lipschitz_project
 from .tensor import Tensor
 
@@ -126,8 +126,8 @@ def build_model_zoo(seed: int, n_models: int = 20) -> list[ModelSpec]:
     return zoo
 
 
-def _sum_loss() -> FunctionObject:
-    return FunctionObject(["x"], lambda g, ins: g.reduce_sum(ins["x"]), name="sum_loss")
+def _sum_loss(g, ins):
+    return g.reduce_sum(ins["x"])
 
 
 def _solve(spec: ModelSpec, tol: float = 1e-24):
@@ -155,7 +155,7 @@ def check_gradient_agreement(zoo: list[ModelSpec], tol_closed: float = 1e-6,
         bw = backward_fpi(g, res.x_hat, spec.z, spec.theta, grad_out, cfg)
         cf_theta, _ = closed_form_gradient(g, res.x_hat, spec.z, spec.theta, grad_out)
         un_theta, _ = unrolled_gradient(g, T.zeros(res.x_hat.shape), spec.z, spec.theta,
-                                        500, _sum_loss())
+                                        500, _sum_loss)
         names = g.param_names
         got = _flatten_theta(bw.grad_theta, names)
         cf = _flatten_theta(cf_theta, names)
@@ -281,11 +281,9 @@ def check_stationarity(seed: int = 3, n_models: int = 6) -> list[CheckOutcome]:
             outcomes.append(CheckOutcome(f"gd_stationarity{idx}:unconverged",
                                          False, float("inf"), np.sqrt(tol) / gamma))
             continue
-        g = Graph()
-        s = {"x": g.leaf(res.x_hat), "z": g.leaf(z),
-             **{n: g.leaf(theta[n]) for n in energy.param_names}}
-        (grad_x,) = partial_diff(g, s, energy.function_object(), wrt=["x"])
-        norm = float(np.linalg.norm(grad_x.value.data))
+        s = {"x": res.x_hat, "z": z, **{n: theta[n] for n in energy.param_names}}
+        (grad_x,) = partial_diff(Evaluator(), s, energy.recipe, wrt=["x"])
+        norm = float(np.linalg.norm(grad_x.data))
         outcomes.append(CheckOutcome(f"gd_stationarity{idx}",
                                      norm <= np.sqrt(tol) / gamma, norm,
                                      np.sqrt(tol) / gamma))
@@ -304,7 +302,7 @@ def check_double_backward(seed: int = 4) -> list[CheckOutcome]:
 
     g = Graph()
     x = g.leaf(Tensor(xv))
-    (p,) = partial_diff(g, {"x": x}, FunctionObject(["x"], quartic, name="quartic"))
+    (p,) = partial_diff(g, {"x": x}, quartic)
     out = g.dot(g.leaf(Tensor(w)), p)
     grads = backward(g, out, Tensor(1.0))
     got = grads[x.id].data

@@ -4,7 +4,7 @@ The differentiation rules are themselves expressed as graph operations, so a
 gradient is an ordinary node and can be differentiated again.  On top of the
 plain reverse sweep this module provides ``partial_diff``, which makes
 partial differentiation work when arguments are interdependent: it evaluates
-a function object on an independent graph whose leaves hold copies of the
+a recipe on an independent graph whose leaves hold copies of the
 arguments' values (so no gradient flows back through them), differentiates
 it there, and re-attaches the partial derivatives to the caller's graph as
 differentiable outputs.  Their backward rule contracts the incoming gradient
@@ -35,7 +35,6 @@ set of each pruned sweep and repeated sweeps over it scan it once.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,17 +72,15 @@ def reset_peak_live_node_count():
 class Node:
     """One value in a computational graph; leaves have no parents."""
 
-    __slots__ = ("id", "kind", "parents", "value", "attrs", "grad", "_owner", "__weakref__")
+    __slots__ = ("id", "kind", "parents", "value", "attrs")
 
     def __init__(self, nid: int, kind: str, parents: tuple["Node", ...], value: Tensor,
-                 attrs: dict | None, owner: "Graph"):
+                 attrs: dict | None):
         self.id = nid
         self.kind = kind
         self.parents = parents
         self.value = value
         self.attrs = attrs or {}
-        self.grad: Tensor | None = None
-        self._owner = weakref.ref(owner)
         _COUNTS["live"] += 1
         if _COUNTS["live"] > _COUNTS["peak"]:
             _COUNTS["peak"] = _COUNTS["live"]
@@ -118,7 +115,7 @@ class Node:
 class Graph:
     """Append-only arena of nodes; parents always precede children."""
 
-    __slots__ = ("nodes", "_deps", "__weakref__")
+    __slots__ = ("nodes", "_deps")
 
     def __init__(self):
         self.nodes: list[Node] = []
@@ -130,11 +127,12 @@ class Graph:
 
     def _append(self, kind: str, parents: tuple[Node, ...], value: Tensor,
                 attrs: dict | None = None) -> Node:
+        nodes = self.nodes
         for p in parents:
-            if p._owner() is not self:
+            if not (p.id < len(nodes) and nodes[p.id] is p):
                 raise GraphError(f"parent node {p!r} belongs to a different graph")
-        node = Node(len(self.nodes), kind, parents, value, attrs, self)
-        self.nodes.append(node)
+        node = Node(len(nodes), kind, parents, value, attrs)
+        nodes.append(node)
         return node
 
     @staticmethod
@@ -405,46 +403,12 @@ def backward_nodes(graph: Graph, output: Node, seed: Node | Tensor,
 def backward(graph: Graph, output: Node, seed=None) -> dict[int, Tensor]:
     """Vector-Jacobian products of ``output`` w.r.t. every reachable leaf.
 
-    Returns a map from leaf node id to the accumulated gradient tensor; the
-    same tensors are also stored on the leaves' ``grad`` attribute.  The
+    Returns a map from leaf node id to the accumulated gradient tensor.  The
     sweep is a value sweep: it adds no node to ``graph``.
     """
     seed = T.ones(output.shape) if seed is None else T.as_tensor(seed)
-    out: dict[int, Tensor] = {}
-    for nid, value in backward_nodes(graph, output, seed).items():
-        node = graph.nodes[nid]
-        if node.is_leaf:
-            out[nid] = node.grad = value
-    return out
-
-
-# ---------------------------------------------------------------------------
-# function objects
-
-
-class FunctionObject:
-    """A re-executable recipe from named leaf nodes to output nodes.
-
-    The recipe must be pure: rebuilding it on any graph with equal input
-    values yields equal output values.
-    """
-
-    def __init__(self, input_names: Sequence[str],
-                 recipe: Callable[[Graph, dict[str, Node]], Node | Sequence[Node]],
-                 name: str = ""):
-        self.input_names = list(input_names)
-        self.recipe = recipe
-        self.name = name or recipe.__name__
-
-    def build(self, graph: Graph, inputs: dict[str, Node]) -> list[Node]:
-        if set(inputs) != set(self.input_names):
-            raise GraphError(
-                f"{self.name} expects inputs {self.input_names}, got {sorted(inputs)}")
-        out = self.recipe(graph, inputs)
-        return list(out) if isinstance(out, (list, tuple)) else [out]
-
-    def __repr__(self):
-        return f"FunctionObject({self.name}, inputs={self.input_names})"
+    grads = backward_nodes(graph, output, seed)
+    return {nid: value for nid, value in grads.items() if graph.nodes[nid].is_leaf}
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +431,16 @@ class _PartialState:
         self.grad_nodes = grad_nodes
 
 
-def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: FunctionObject,
+# A recipe r(surface, inputs) -> node builds one output from named inputs; its
+# input names are the keys of the dict it is called with.  It must be pure:
+# built on any graph from equal input values, it gives equal output values.
+Recipe = Callable[[Graph, dict[str, Node]], Node]
+
+
+def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: Recipe,
                  wrt: Sequence[str] | None = None) -> list[Node | Tensor]:
-    """Partial derivatives of scalar ``r`` w.r.t. ``s``, treating the entries
-    of ``s`` as mutually independent.
+    """Partial derivatives of the scalar recipe ``r`` w.r.t. ``s``, treating
+    the entries of ``s`` as mutually independent.
 
     Builds an independent graph on detached clones of ``s``, evaluates and
     differentiates ``r`` there w.r.t. the ``wrt`` clones only, and re-attaches
@@ -480,22 +450,19 @@ def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: FunctionObject
     derivatives are only read, so the differentiation is a value sweep whose
     values are returned, and nothing is retained.
     """
-    if set(s) != set(r.input_names):
-        raise GraphError(f"{r.name} expects inputs {r.input_names}, got {sorted(s)}")
-    names = list(r.input_names)
-    wrt = names if wrt is None else list(wrt)
+    wrt = list(s if wrt is None else wrt)
     for w in wrt:
         if w not in s:
             raise GraphError(f"cannot differentiate w.r.t. unknown input {w!r}")
 
     inner = Graph()
-    leaves = {n: inner.leaf(graph._value(s[n])) for n in names}
-    outs = r.build(inner, leaves)
-    if len(outs) != 1 or outs[0].value.size != 1:
-        raise ShapeError("partial_diff expects a single scalar output")
+    leaves = {n: inner.leaf(graph._value(v)) for n, v in s.items()}
+    out = r(inner, leaves)
+    if out.size != 1:
+        raise ShapeError("partial_diff expects a scalar output")
     # the seed and the gradients live on the evaluator or the inner graph
     surface = graph if isinstance(graph, Evaluator) else inner
-    gmap = backward_nodes(inner, outs[0], surface.leaf(T.ones(outs[0].shape)),
+    gmap = backward_nodes(inner, out, surface.leaf(T.ones(out.shape)),
                           [leaves[w] for w in wrt])
     grads = {}
     for w in wrt:
@@ -505,9 +472,9 @@ def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: FunctionObject
         return [grads[w] for w in wrt]
 
     state = _PartialState(inner, leaves, grads)
-    parents = tuple(s[n] for n in names)
+    parents = tuple(s.values())
     return [graph._append("partial_diff", parents, grads[w].value,
-                          {"state": state, "wrt": w, "names": names})
+                          {"state": state, "wrt": w})
             for w in wrt]
 
 
@@ -518,7 +485,7 @@ def _vjp_partial_diff(g, node, seed, need):
     # independent graph from d r / d s_w, seeded with the incoming gradient's
     # value; its results re-enter ``g`` as leaves (no derivatives for them).
     # The graph keeps the sweep's dependent set across calls.
-    leaves = [state.leaves[name] for name in node.attrs["names"]]
+    leaves = list(state.leaves.values())    # one per parent, in order
     second = backward_nodes(state.inner, state.grad_nodes[node.attrs["wrt"]], g._value(seed),
                             [leaf for leaf, k in zip(leaves, need) if k])
     return [g.leaf(second[leaf.id]) if leaf.id in second else None for leaf in leaves]
@@ -528,13 +495,10 @@ def _vjp_partial_diff(g, node, seed, need):
 # convenience wrapper
 
 
-def vjp(f: FunctionObject, inputs: dict[str, Tensor], cotangent: Tensor) -> dict[str, Tensor]:
-    """One reverse sweep through ``f``: returns (df/dinput)^T . cotangent per
-    input, without materializing any Jacobian."""
+def vjp(r: Recipe, inputs: dict[str, Tensor], cotangent: Tensor) -> dict[str, Tensor]:
+    """One reverse sweep through the recipe ``r``: returns
+    (dr/dinput)^T . cotangent per input, without materializing any Jacobian."""
     g = Graph()
-    leaves = {n: g.leaf(inputs[n]) for n in f.input_names}
-    outs = f.build(g, leaves)
-    if len(outs) != 1:
-        raise ShapeError("vjp expects a single-output function object")
-    grads = backward(g, outs[0], cotangent)
-    return {n: grads.get(leaves[n].id, T.zeros(inputs[n].shape)) for n in f.input_names}
+    leaves = {n: g.leaf(v) for n, v in inputs.items()}
+    grads = backward(g, r(g, leaves), cotangent)
+    return {n: grads.get(leaf.id, T.zeros(leaf.shape)) for n, leaf in leaves.items()}

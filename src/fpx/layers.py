@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from . import tensor as T
-from .graph import Evaluator, FunctionObject, Graph, Node, partial_diff
+from .graph import Evaluator, Graph, Node, partial_diff
 from .tensor import ShapeError, Tensor
 
 
@@ -67,11 +67,11 @@ def init_small(param_shapes, scale: float, rng: np.random.Generator) -> Paramete
 # spectral norms and projection
 
 
-def _power_norm(forward, adjoint, shape, iters: int, tol: float) -> float:
+def _power_norm(forward, adjoint, v: np.ndarray, iters: int, tol: float) -> float:
     """Largest singular value of a linear map, given as its ``forward`` and
-    ``adjoint`` on arrays, by power iteration on A^T A from a fixed start."""
-    v = np.random.default_rng(0).standard_normal(shape)
-    v /= np.linalg.norm(v)
+    ``adjoint`` on arrays, by power iteration on A^T A from the start ``v``.
+    ``tol`` 0 runs all ``iters`` steps."""
+    v = v / np.linalg.norm(v)
     sigma = 0.0
     for _ in range(iters):
         u = forward(v)
@@ -84,7 +84,7 @@ def _power_norm(forward, adjoint, shape, iters: int, tol: float) -> float:
         if nv == 0.0:
             return sigma
         v = v / nv
-        if abs(sigma - prev) <= tol * max(sigma, 1.0):
+        if abs(sigma - prev) < tol * max(sigma, 1.0):
             break
     return float(np.linalg.norm(forward(v)))
 
@@ -92,15 +92,17 @@ def _power_norm(forward, adjoint, shape, iters: int, tol: float) -> float:
 def spectral_norm_matrix(w: Tensor, iters: int = 50, tol: float = 1e-8) -> float:
     """Largest singular value via power iteration on W^T W."""
     a = w.data
-    return _power_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1], iters, tol)
+    return _power_norm(lambda v: a @ v, lambda u: a.T @ u,
+                       np.random.default_rng(0).standard_normal(a.shape[1]), iters, tol)
 
 
 def spectral_norm_conv(kernel: Tensor, image_hw: tuple[int, int], padding: int = 1,
                        iters: int = 50, tol: float = 1e-8) -> float:
     """Operator norm of the stride-1 convolution unfolded at a fixed image size."""
+    start = np.random.default_rng(0).standard_normal((kernel.shape[1], *image_hw))
     return _power_norm(lambda v: T.conv2d(Tensor(v), kernel, 1, padding).data,
                        lambda u: T.conv2d_grad_input(Tensor(u), kernel, 1, padding).data,
-                       (kernel.shape[1], *image_hw), iters, tol)
+                       start, iters, tol)
 
 
 def lipschitz_project(params: Parameters, k: float,
@@ -153,12 +155,9 @@ class GModule:
     def init_params(self, scale: float, rng: np.random.Generator) -> Parameters:
         return init_small(self.param_shapes(), scale, rng)
 
-    def function_object(self) -> FunctionObject:
-        def recipe(g: Graph, inputs: dict[str, Node]):
-            params = {n: inputs[n] for n in self.param_names}
-            return self.build(g, inputs["x"], inputs["z"], params)
-        return FunctionObject(["x", "z", *self.param_names], recipe,
-                              name=type(self).__name__)
+    def recipe(self, g: Graph, inputs: dict[str, Node]) -> Node:
+        """``build`` as a recipe: inputs ``x``, ``z`` and the parameters by name."""
+        return self.build(g, inputs["x"], inputs["z"], inputs)
 
     def apply(self, x: Tensor, z: Tensor, params: Parameters) -> Tensor:
         """The module's output value: ``build`` on an ``Evaluator``, so no
@@ -314,7 +313,7 @@ class GdG(GModule):
 
     def build(self, g, x, z, params):
         s = {"x": x, "z": z, **{n: params[n] for n in self.param_names}}
-        (grad_x,) = partial_diff(g, s, self.energy.function_object(), wrt=["x"])
+        (grad_x,) = partial_diff(g, s, self.energy.recipe, wrt=["x"])
         return g.sub(x, g.scale(grad_x, self.gamma))
 
 

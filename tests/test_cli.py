@@ -1,7 +1,9 @@
+import importlib.util
 import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,3 +341,18 @@ class TestMain:
         lines = (tmp_path / "o" / "run.log").read_text().splitlines()
         assert ("WARNING toybox-fpi_gd-seed0: epoch 1: 3 of 3 backward solves hit "
                 "max_iter; their gradients are best-effort") in lines
+
+
+def test_benchmark_tracer_finds_every_hook():
+    # the benchmark's per-layer metrics hook fpx functions and methods by
+    # name; a hook lost to a rename would leave them silently blind
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()

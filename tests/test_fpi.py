@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fpx import fpi as fpi_mod
 from fpx import graph as graph_mod
 from fpx import tensor as T
 from fpx.fpi import (
@@ -21,7 +22,7 @@ from fpx.fpi import (
     spectral_norm_jacobian,
     unrolled_gradient,
 )
-from fpx.graph import FunctionObject, Graph, backward, live_node_count, vjp
+from fpx.graph import Graph, backward, live_node_count, vjp
 from fpx.layers import (
     AffineG,
     ConvG,
@@ -55,13 +56,9 @@ class QuadraticEnergy:
     def param_shapes(self):
         return {}
 
-    def function_object(self):
-        d = Tensor(np.diag(self.diag))
-
-        def recipe(g, ins):
-            dx = g.matmul(g.leaf(d), ins["x"])
-            return g.scale(g.reduce_sum(g.mul(ins["x"], dx)), 0.5)
-        return FunctionObject(["x", "z"], recipe, name="quadratic")
+    def recipe(self, g, ins):
+        dx = g.matmul(g.leaf(Tensor(np.diag(self.diag))), ins["x"])
+        return g.scale(g.reduce_sum(g.mul(ins["x"], dx)), 0.5)
 
 
 class TestConvergenceCheck:
@@ -161,8 +158,8 @@ def loss_grad_out(x_hat: Tensor) -> Tensor:
     return T.ones(x_hat.shape)
 
 
-def sum_loss_fo() -> FunctionObject:
-    return FunctionObject(["x"], lambda g, ins: g.reduce_sum(ins["x"]), name="sum_loss")
+def sum_loss(g, ins):
+    return g.reduce_sum(ins["x"])
 
 
 class TestBackwardFpi:
@@ -201,7 +198,7 @@ class TestBackwardFpi:
         res = forward_fpi(g, T.zeros((10, 1)), z, theta, cfg)
         assert res.converged
         bw = backward_fpi(g, res.x_hat, z, theta, loss_grad_out(res.x_hat), cfg)
-        un_theta, un_z = unrolled_gradient(g, T.zeros((10, 1)), z, theta, 500, sum_loss_fo())
+        un_theta, un_z = unrolled_gradient(g, T.zeros((10, 1)), z, theta, 500, sum_loss)
         for name in g.param_names:
             assert rel_err(bw.grad_theta[name].data, un_theta[name].data) < 1e-5
         assert rel_err(bw.grad_z.data, un_z.data) < 1e-5
@@ -263,7 +260,7 @@ class TestCotangentIteration:
     @pytest.mark.parametrize("kind", ["AffineG", "MlpG", "ConvG", "GdG"])
     def test_step_and_final_grads_equal_one_full_vjp(self, kind):
         module, x, z, theta, grad_out, c = _cotangent_case(kind)
-        full = vjp(module.function_object(), {"x": x, "z": z, **theta}, c)
+        full = vjp(module.recipe, {"x": x, "z": z, **theta}, c)
         it = _CotangentIteration(module, x, z, theta, grad_out)
         assert np.array_equal(it.step(c).data, full["x"].data + grad_out.data)
         grad_theta, grad_z = it.final_grads(c)
@@ -337,11 +334,9 @@ class TestFpiGdStep:
             param_names = ()
             state_dim = 4
 
-            def function_object(self):
-                def recipe(g, ins):
-                    d = g.sub(ins["x"], ins["z"])
-                    return g.scale(g.sq_norm(d), 0.5)
-                return FunctionObject(["x", "z"], recipe, name="half_sq")
+            def recipe(self, g, ins):
+                d = g.sub(ins["x"], ins["z"])
+                return g.scale(g.sq_norm(d), 0.5)
 
         out = GdG(HalfSq(), gamma=1.0).apply(x, z, Parameters())
         np.testing.assert_allclose(out.data, z.data, atol=1e-14)
@@ -396,6 +391,20 @@ class TestSpectralNormJacobian:
         est = spectral_norm_jacobian(g, T.zeros((5, 1)), T.zeros((5, 1)), theta, iters=200)
         assert est <= 0.9 + 1e-6
 
+    def test_runs_every_iteration(self, monkeypatch):
+        # the 1-d map gives the estimate 0.5 exactly at every step; the
+        # power loop still takes one VJP per iteration
+        g = AffineG(1)
+        theta = Parameters({"a": Tensor([[0.5]]), "b": T.zeros(1)})
+        original, calls = fpi_mod.vjp, []
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+        monkeypatch.setattr(fpi_mod, "vjp", counting)
+        est = spectral_norm_jacobian(g, T.zeros((1, 1)), T.zeros((1, 1)), theta, iters=7)
+        assert est == 0.5 and len(calls) == 7
+
     def test_estimate_nondecreasing_in_iters(self):
         rng = np.random.default_rng(97)
         g = AffineG(6)
@@ -448,7 +457,7 @@ class TestUnrolledGradient:
         theta = affine_params(rng, 4, 0.8)
         z = Tensor(rng.standard_normal((4, 1)))
         x0 = Tensor(rng.standard_normal((4, 1)))
-        un_theta, un_z = unrolled_gradient(g, x0, z, theta, 1, sum_loss_fo())
+        un_theta, un_z = unrolled_gradient(g, x0, z, theta, 1, sum_loss)
 
         gr = Graph()
         tnodes = {n: gr.leaf(theta[n]) for n in g.param_names}
@@ -467,7 +476,7 @@ class TestUnrolledGradient:
         x_hat = Tensor(np.linalg.solve(np.eye(6) - theta["a"].data,
                                        theta["b"].data[:, None] + z.data))
         cf_theta, cf_z = closed_form_gradient(g, x_hat, z, theta, T.ones((6, 1)))
-        un_theta, un_z = unrolled_gradient(g, T.zeros((6, 1)), z, theta, 200, sum_loss_fo())
+        un_theta, un_z = unrolled_gradient(g, T.zeros((6, 1)), z, theta, 200, sum_loss)
         for n in g.param_names:
             assert rel_err(un_theta[n].data, cf_theta[n].data) < 1e-8
         assert rel_err(un_z.data, cf_z.data) < 1e-8
@@ -483,7 +492,7 @@ class TestUnrolledGradient:
         errs = []
         for n_steps in (5, 10, 15, 20):
             un_theta, _ = unrolled_gradient(g, T.zeros((5, 1)), z, theta, n_steps,
-                                            sum_loss_fo())
+                                            sum_loss)
             errs.append(np.linalg.norm(un_theta["a"].data - cf_theta["a"].data))
         # slope of log-error per 5 steps should be about 5*log(0.5)
         slopes = np.diff(np.log(errs))

@@ -8,7 +8,6 @@ from fpx import tensor as T
 from fpx.graph import (
     _OPS,
     Evaluator,
-    FunctionObject,
     Graph,
     GraphError,
     NonDifferentiableError,
@@ -32,7 +31,6 @@ class TestBackward:
         y = g.scale(x, 3.0)
         grads = backward(g, y, Tensor(1.0))
         assert grads[x.id].item() == 3.0
-        assert x.grad.item() == 3.0
 
     def test_quadratic_form(self):
         g = Graph()
@@ -128,6 +126,18 @@ class TestBackward:
         assert len(calls) == 1 and np.array_equal(first, again)
         backward_nodes(g, y, Tensor(1.0), [w])
         assert len(calls) == 2      # another wrt set is another dependent set
+
+    def test_parent_from_another_graph_rejected(self):
+        g, other = Graph(), Graph()
+        x = g.leaf(Tensor([1.0]))
+        in_range = other.leaf(Tensor([2.0]))    # id 0, which g also has
+        beyond = other.leaf(Tensor([3.0]))      # id 1, past g's last node
+        for foreign in (in_range, beyond):
+            with pytest.raises(GraphError, match="different graph"):
+                g.add(x, foreign)
+            with pytest.raises(GraphError, match="different graph"):
+                g.concat([x, foreign])
+        assert len(g) == 1
 
     def test_arena_is_append_only_and_values_frozen(self):
         g = Graph()
@@ -334,7 +344,7 @@ class TestValueSweep:
         g = Graph()
         th = g.leaf(Tensor(rng.standard_normal((3, 1))))
         x = g.matmul(g.leaf(Tensor(rng.standard_normal((3, 3)))), th)
-        px, pth = partial_diff(g, {"x": x, "th": th}, FunctionObject(["x", "th"], r_recipe))
+        px, pth = partial_diff(g, {"x": x, "th": th}, r_recipe)
         out = g.add(g.sq_norm(px), g.sq_norm(pth))
         _assert_value_sweep_matches(g, out, np.ones(()), _wrt(mode, [th]))
 
@@ -406,12 +416,10 @@ class TestDetachClone:
         np.testing.assert_array_equal(grads_with(False), grads_with(True))
 
 
-def _poly_fo():
-    """r(x) = sum(x^4), a smooth single-input scalar function object."""
-    def recipe(g, ins):
-        x2 = g.mul(ins["x"], ins["x"])
-        return g.reduce_sum(g.mul(x2, x2))
-    return FunctionObject(["x"], recipe, name="quartic")
+def _quartic(g, ins):
+    """r(x) = sum(x^4), a smooth single-input scalar recipe."""
+    x2 = g.mul(ins["x"], ins["x"])
+    return g.reduce_sum(g.mul(x2, x2))
 
 
 class TestPartialDiff:
@@ -420,7 +428,7 @@ class TestPartialDiff:
             return g.reduce_sum(g.mul(ins["x"], ins["x"]))
         g = Graph()
         x = g.leaf(Tensor(np.array([3.0])))
-        (p,) = partial_diff(g, {"x": x}, FunctionObject(["x"], recipe))
+        (p,) = partial_diff(g, {"x": x}, recipe)
         assert g.contains(p)
         assert p.value.data.tolist() == [6.0]
 
@@ -434,11 +442,10 @@ class TestPartialDiff:
             # r(x, th) = |x|^2 * 1 + <x, th>
             return g.add(g.sq_norm(ins["x"]), g.dot(ins["x"], ins["th"]))
 
-        r = FunctionObject(["x", "th"], r_recipe)
         g = Graph()
         th = g.leaf(Tensor(th_val))
         x = g.matmul(g.leaf(Tensor(a)), th)          # x depends on th
-        px, pth = partial_diff(g, {"x": x, "th": th}, r)
+        px, pth = partial_diff(g, {"x": x, "th": th}, r_recipe)
 
         xv = x.value.data
         fd_x = central_diff(lambda v: float(np.sum(v * v) + np.sum(v * th_val)), xv)
@@ -452,7 +459,7 @@ class TestPartialDiff:
             return g.reduce_sum(g.mul(g.mul(x, x), x))
         g = Graph()
         x = g.leaf(Tensor(np.array([2.0])))
-        (p,) = partial_diff(g, {"x": x}, FunctionObject(["x"], cubic))
+        (p,) = partial_diff(g, {"x": x}, cubic)
         assert p.value.data.tolist() == [12.0]      # 3 x^2
         grads = backward(g, p, Tensor(np.ones(1)))
         assert grads[x.id].data.tolist() == [12.0]  # 6 x
@@ -460,15 +467,13 @@ class TestPartialDiff:
     def test_on_independent_leaves_equals_plain_backward(self):
         rng = np.random.default_rng(13)
         xv = rng.standard_normal((4, 1))
-        fo = _poly_fo()
-
         g = Graph()
         x = g.leaf(Tensor(xv))
-        (p,) = partial_diff(g, {"x": x}, fo)
+        (p,) = partial_diff(g, {"x": x}, _quartic)
 
         g2 = Graph()
         x2 = g2.leaf(Tensor(xv))
-        out = fo.build(g2, {"x": x2})[0]
+        out = _quartic(g2, {"x": x2})
         plain = backward(g2, out, Tensor(1.0))[x2.id]
         np.testing.assert_array_equal(p.value.data, plain.data)
 
@@ -476,17 +481,16 @@ class TestPartialDiff:
         rng = np.random.default_rng(17)
         xv = rng.standard_normal(3)
         w = rng.standard_normal(3)
-        fo = _poly_fo()
 
         def first_derivative_contracted(v: np.ndarray) -> float:
             g = Graph()
             x = g.leaf(Tensor(v))
-            (p,) = partial_diff(g, {"x": x}, fo)
+            (p,) = partial_diff(g, {"x": x}, _quartic)
             return float(np.sum(w * p.value.data))
 
         g = Graph()
         x = g.leaf(Tensor(xv))
-        (p,) = partial_diff(g, {"x": x}, fo)
+        (p,) = partial_diff(g, {"x": x}, _quartic)
         out = g.dot(g.leaf(Tensor(w)), p)
         grads = backward(g, out, Tensor(1.0))
         fd = central_diff(first_derivative_contracted, xv)
@@ -503,19 +507,18 @@ class TestPartialDiff:
         def r_recipe(g, ins):
             prod = g.mul(g.mul(ins["x"], ins["x"]), ins["th"])
             return g.reduce_sum(prod)
-        r = FunctionObject(["x", "th"], r_recipe)
 
         def loss_of_theta(th_val: np.ndarray) -> float:
             g = Graph()
             th = g.leaf(Tensor(th_val))
             x = g.matmul(g.leaf(Tensor(a)), th)
-            px, pth = partial_diff(g, {"x": x, "th": th}, r)
+            px, pth = partial_diff(g, {"x": x, "th": th}, r_recipe)
             return g.add(g.sq_norm(px), g.sq_norm(pth)).value.item()
 
         g = Graph()
         th = g.leaf(Tensor(th0))
         x = g.matmul(g.leaf(Tensor(a)), th)
-        px, pth = partial_diff(g, {"x": x, "th": th}, r)
+        px, pth = partial_diff(g, {"x": x, "th": th}, r_recipe)
         out = g.add(g.sq_norm(px), g.sq_norm(pth))
         grads = backward(g, out, Tensor(1.0))
         fd = central_diff(loss_of_theta, th0)
@@ -528,17 +531,15 @@ class TestPartialDiff:
 
         def r_recipe(gg, ins):
             return gg.dot(ins["x"], ins["y"])
-        outs = partial_diff(g, {"x": x, "y": y}, FunctionObject(["x", "y"], r_recipe),
-                            wrt=["y"])
+        outs = partial_diff(g, {"x": x, "y": y}, r_recipe, wrt=["y"])
         assert len(outs) == 1
         assert outs[0].value.data.tolist() == [1.0]
 
     def test_scalar_output_required(self):
         g = Graph()
         x = g.leaf(Tensor([1.0, 2.0]))
-        ident = FunctionObject(["x"], lambda gg, ins: ins["x"], name="ident")
         with pytest.raises(ShapeError):
-            partial_diff(g, {"x": x}, ident)
+            partial_diff(g, {"x": x}, lambda gg, ins: ins["x"])
 
 
 class TestEvaluator:
@@ -561,9 +562,9 @@ class TestEvaluator:
     def test_partial_diff_returns_values_and_keeps_no_node(self):
         xv = np.random.default_rng(59).standard_normal(4)
         g = Graph()
-        (want,) = partial_diff(g, {"x": g.leaf(Tensor(xv))}, _poly_fo())
+        (want,) = partial_diff(g, {"x": g.leaf(Tensor(xv))}, _quartic)
         base = live_node_count()
-        (got,) = partial_diff(Evaluator(), {"x": Tensor(xv)}, _poly_fo())
+        (got,) = partial_diff(Evaluator(), {"x": Tensor(xv)}, _quartic)
         assert isinstance(got, Tensor) and np.array_equal(got.data, want.value.data)
         assert live_node_count() == base
 
@@ -578,21 +579,18 @@ class TestInnerBuilder:
         rng = np.random.default_rng(23)
         xv = rng.standard_normal(4)
         delta = rng.standard_normal(4)
-        r = _poly_fo()
-
         def eta_recipe(g, ins):
-            (p,) = partial_diff(g, {"x": ins["x"]}, r, wrt=["x"])
+            (p,) = partial_diff(g, {"x": ins["x"]}, _quartic, wrt=["x"])
             return g.dot(g.leaf(Tensor(delta)), p)   # delta enters as a constant
-        eta = FunctionObject(["x"], eta_recipe, name="eta")
 
         g = Graph()
         x = g.leaf(Tensor(xv))
-        (q,) = partial_diff(g, {"x": x}, eta, wrt=["x"])
+        (q,) = partial_diff(g, {"x": x}, eta_recipe, wrt=["x"])
 
         def eta_value(v: np.ndarray) -> float:
             gg = Graph()
             xx = gg.leaf(Tensor(v))
-            (p,) = partial_diff(gg, {"x": xx}, r, wrt=["x"])
+            (p,) = partial_diff(gg, {"x": xx}, _quartic, wrt=["x"])
             return float(np.sum(delta * p.value.data))
 
         fd = central_diff(eta_value, xv)
@@ -603,13 +601,13 @@ class TestInnerBuilder:
 class TestVjp:
     def test_linear_map_transposes(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        f = FunctionObject(["x"], lambda g, ins: g.matmul(g.leaf(Tensor(a)), ins["x"]))
-        out = vjp(f, {"x": T.zeros((2, 1))}, Tensor([[1.0], [1.0]]))
+        out = vjp(lambda g, ins: g.matmul(g.leaf(Tensor(a)), ins["x"]),
+                  {"x": T.zeros((2, 1))}, Tensor([[1.0], [1.0]]))
         assert out["x"].data.ravel().tolist() == [4.0, 6.0]
 
     def test_zero_cotangent_gives_zeros(self):
-        f = FunctionObject(["x"], lambda g, ins: g.sigmoid(ins["x"]))
-        out = vjp(f, {"x": Tensor([1.0, -1.0])}, T.zeros(2))
+        out = vjp(lambda g, ins: g.sigmoid(ins["x"]), {"x": Tensor([1.0, -1.0])},
+                  T.zeros(2))
         assert out["x"].data.tolist() == [0.0, 0.0]
 
     def test_matches_analytic_jacobian_of_small_mlp(self):
@@ -629,7 +627,6 @@ class TestVjp:
             hid = g.relu(pre1)
             pre2 = g.add(g.matmul(g.leaf(Tensor(w2)), hid), g.tile_cols(g.leaf(Tensor(b2)), 1))
             return g.sigmoid(pre2)
-        f = FunctionObject(["x"], recipe)
 
         pre1 = w1 @ np.concatenate([xv, zv]) + b1[:, None]
         hid = np.maximum(pre1, 0.0)
@@ -639,7 +636,7 @@ class TestVjp:
 
         for trial in range(3):
             c = rng.standard_normal((dx, 1))
-            got = vjp(f, {"x": Tensor(xv)}, Tensor(c))["x"].data
+            got = vjp(recipe, {"x": Tensor(xv)}, Tensor(c))["x"].data
             want = jac.T @ c
             assert rel_err(got, want) < 1e-10
 
@@ -652,7 +649,6 @@ class TestVjp:
             def recipe(g, ins, a=a):
                 y = g.matmul(g.leaf(Tensor(a)), ins["x"])
                 return g.mul(g.sigmoid(y), y)
-            f = FunctionObject(["x"], recipe)
             xv = rng.standard_normal((n, 1))
             c = rng.standard_normal((n, 1))
 
@@ -665,7 +661,7 @@ class TestVjp:
                 e = np.zeros((n, 1))
                 e[j] = 1e-6
                 jac[:, j] = ((comp(xv + e) - comp(xv - e)) / 2e-6).ravel()
-            got = vjp(f, {"x": Tensor(xv)}, Tensor(c))["x"].data
+            got = vjp(recipe, {"x": Tensor(xv)}, Tensor(c))["x"].data
             assert rel_err(got, jac.T @ c) < 1e-8
 
 
