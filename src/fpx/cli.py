@@ -26,8 +26,8 @@ from .data import (
     load_image_dir,
     load_sparse_dataset,
 )
-from .fpi import Criterion, FpiConfig, fpi_layer, forward_fpi
-from .graph import Graph, backward
+from .fpi import Criterion, FpiConfig, fpi_layer
+from .graph import Evaluator, Graph, backward
 from .layers import ConvG, EnergyNet, GdG, GModule, MlpG, Parameters, save_parameters
 from .tensor import Tensor
 from .train import (
@@ -172,78 +172,27 @@ def emit_metrics(path, rows: list[tuple]) -> None:
             fh.write(f"{run_id},{epoch},{split},{metric},{value:.12g}\n")
 
 
-class SolveStats:
-    """Per-epoch forward/backward iteration counts and convergence rates."""
-
-    def __init__(self):
-        self.fwd_iters = 0
-        self.bwd_iters = 0
-        self.fwd_solves = 0
-        self.bwd_solves = 0
-        self.fwd_unconverged = 0
-        self.bwd_unconverged = 0
-
-    def record_node(self, node):
-        res = node.attrs["result"]
-        self.fwd_solves += 1
-        self.fwd_iters += res.iterations
-        self.fwd_unconverged += 0 if res.converged else 1
-        bres = node.attrs.get("backward_result")
-        if bres is not None:
-            self.bwd_solves += 1
-            self.bwd_iters += bres.iterations
-            self.bwd_unconverged += 0 if bres.converged else 1
-
-    def rows(self, run_id: str, epoch: int) -> list[tuple]:
-        if self.fwd_solves == 0:
-            return []
-        out = [
-            (run_id, epoch, "train", "fpi_forward_iters", self.fwd_iters / self.fwd_solves),
-            (run_id, epoch, "train", "fpi_unconverged_rate",
-             self.fwd_unconverged / self.fwd_solves),
-        ]
-        if self.bwd_solves:
-            out.append((run_id, epoch, "train", "fpi_backward_iters",
-                        self.bwd_iters / self.bwd_solves))
-            out.append((run_id, epoch, "train", "fpi_backward_unconverged_rate",
-                        self.bwd_unconverged / self.bwd_solves))
-        return out
-
-    def merge(self, other: "SolveStats"):
-        for name in vars(self):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
-
 # ---------------------------------------------------------------------------
 # the training loop shared by every task
 
 
-def _predict_vector(cfg, module, theta, z: Tensor, post_sigmoid, is_fpi) -> Tensor:
-    if is_fpi:
-        out = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta,
-                          fpi_config(cfg)).x_hat
-    else:
-        out = module.apply(T.zeros(module.state_shape(z)), z, theta)
-    return T.sigmoid(out) if post_sigmoid else out
+def _solve_rows(run_id: str, epoch: int, solves: list[tuple]) -> list[tuple]:
+    """The fpi_* rows of one epoch's solve record: per FPI pair, (forward
+    iterations, forward converged, backward iterations, backward converged)."""
+    if not solves:
+        return []
+    n = len(solves)
+    fwd_iters, fwd_ok, bwd_iters, bwd_ok = (sum(col) for col in zip(*solves))
+    return [(run_id, epoch, "train", metric, value) for metric, value in (
+        ("fpi_forward_iters", fwd_iters / n), ("fpi_unconverged_rate", (n - fwd_ok) / n),
+        ("fpi_backward_iters", bwd_iters / n),
+        ("fpi_backward_unconverged_rate", (n - bwd_ok) / n))]
 
 
-def _batched_prediction(cfg, module, theta, z_all: np.ndarray, post_sigmoid, is_fpi,
-                        batch: int = 200) -> np.ndarray:
-    cols = []
-    for start in range(0, z_all.shape[1], batch):
-        zb = Tensor(z_all[:, start : start + batch])
-        cols.append(_predict_vector(cfg, module, theta, zb, post_sigmoid, is_fpi).data)
-    return np.concatenate(cols, axis=1)
-
-
-def _flag_convergence(run_id, rows, total_stats: SolveStats, final_epoch):
-    rate = (total_stats.fwd_unconverged / total_stats.fwd_solves
-            if total_stats.fwd_solves else 0.0)
-    flagged = rate > 0.01
-    rows.append((run_id, final_epoch, "train", "convergence_flag", 1.0 if flagged else 0.0))
-    if flagged:
-        log.warning(f"WARNING {run_id}: {100 * rate:.2f}% of forward solves failed to "
-                    f"converge; results are suspect")
+def _columns(predict, z_all: np.ndarray, batch: int = 200) -> np.ndarray:
+    """``predict`` over the columns (examples) of ``z_all``, ``batch`` at a time."""
+    return np.concatenate([predict(Tensor(z_all[:, s : s + batch])).data
+                           for s in range(0, z_all.shape[1], batch)], axis=1)
 
 
 @dataclass
@@ -252,11 +201,14 @@ class _Run:
 
     ``examples(idx, epoch)`` turns one batch of shuffled example indices into
     (input, target) pairs; each pair gets its own graph, and the batch
-    gradient is the mean over the pairs.  ``evaluate(theta)`` scores the
-    parameters after every epoch; with ``keep_best`` the highest-scoring
-    epoch's parameters are saved, otherwise the last epoch's.
-    ``finish(last, kept, best)`` returns the rows and parameter-blob header
-    entries reported once, after the last epoch; ``best`` is (score, epoch).
+    gradient is the mean over the pairs.  ``evaluate(predict)`` scores the
+    parameters after every epoch through ``predict(z)``, the run's prediction
+    at those parameters; with ``keep_best`` the highest-scoring epoch's
+    parameters are saved, otherwise the last epoch's.
+    ``finish(predictor, last, kept, best)`` returns the rows and
+    parameter-blob header entries reported once, after the last epoch;
+    ``predictor(theta)`` is the ``predict`` at ``theta`` and ``best`` is
+    (score, epoch).
     """
 
     run_id: str
@@ -268,11 +220,24 @@ class _Run:
     examples: Callable[[np.ndarray, int], Iterable[tuple[Tensor, Tensor]]]
     loss: str                     # "mse" or "bce", also the train metric
     post_sigmoid: bool
-    evaluate: Callable[[Parameters], float]
+    evaluate: Callable[[Callable[[Tensor], Tensor]], float]
     score: tuple[str, str]        # (split, metric) of the evaluate rows
     epoch_line: str               # log format with {train} and {score}
     keep_best: bool
     finish: Callable | None = None
+
+
+def _predict(surface: Graph | Evaluator, run: _Run, z, theta: dict, solver: FpiConfig):
+    """``run``'s prediction for the input ``z`` built on ``surface``: the FPI
+    layer, or one application of the module from a zero state, then the
+    sigmoid head if ``run.post_sigmoid``.  Returns (prediction, layer); on a
+    graph the FPI layer's node holds the solve results."""
+    module = run.module
+    if run.is_fpi:
+        layer = fpi_layer(surface, module, z, theta, solver)
+    else:
+        layer = module.build(surface, surface.leaf(T.zeros(module.state_shape(z))), z, theta)
+    return (surface.sigmoid(layer) if run.post_sigmoid else layer), layer
 
 
 def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
@@ -283,11 +248,19 @@ def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
     state = AdamState(lr=cfg.lr)
     shuffle_rng = np.random.default_rng([cfg.seed, run.stream + 1])
     solver = fpi_config(cfg)
+    evaluator = Evaluator()
+
+    def predictor(theta):
+        return lambda z: _predict(evaluator, run, z, theta, solver)[0]
+
     rows: list[tuple] = []
-    total_stats = SolveStats()
+    # per FPI pair of every epoch: (forward iterations, forward converged,
+    # backward iterations, backward converged).  Scalars only: the solve
+    # results hold whole tensors
+    solves: list[tuple] = []
     best, best_theta = (-np.inf, 0), theta
     for epoch in range(1, cfg.epochs + 1):
-        stats = SolveStats()
+        first = len(solves)
         losses = []
         order = shuffle_rng.permutation(run.n_train)
         for start in range(0, run.n_train, cfg.batch_size):
@@ -300,12 +273,7 @@ def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
                 g = Graph()
                 znode = g.leaf(z)
                 tnodes = {n: g.leaf(theta[n]) for n in names}
-                if run.is_fpi:
-                    xnode = fpi_layer(g, module, znode, tnodes, solver)
-                else:
-                    xnode = module.build(g, g.leaf(T.zeros(module.state_shape(z))), znode,
-                                         tnodes)
-                pred = g.sigmoid(xnode) if run.post_sigmoid else xnode
+                pred, layer = _predict(g, run, znode, tnodes, solver)
                 build_loss = build_mse if run.loss == "mse" else build_bce
                 loss = build_loss(g, pred, g.leaf(target))
                 grads_map = backward(g, loss)
@@ -316,39 +284,43 @@ def _fit(cfg: ExperimentConfig, run: _Run) -> list[tuple]:
                 pairs += 1
                 batch_loss += loss.value.item()
                 if run.is_fpi:
-                    stats.record_node(xnode)
-                    if cfg.on_unconverged == "abort":
-                        for solve, res in (("forward", xnode.attrs["result"]),
-                                           ("backward", xnode.attrs["backward_result"])):
-                            if not res.converged:
-                                raise RuntimeError(
-                                    f"{solve} solve failed to converge (residual "
-                                    f"{res.residual:.3e}); aborting per policy")
+                    fwd, bwd = layer.attrs["result"], layer.attrs["backward_result"]
+                    solves.append((fwd.iterations, fwd.converged,
+                                   bwd.iterations, bwd.converged))
+                    for solve, iters, ok in (("forward", *solves[-1][:2]),
+                                             ("backward", *solves[-1][2:])):
+                        if not ok and cfg.on_unconverged == "abort":
+                            raise RuntimeError(f"{solve} solve failed to converge within "
+                                               f"max_iter = {iters}; aborting per policy")
             grads = Parameters({n: Tensor(acc[n] / pairs) for n in names})
             if cfg.grad_clamp_norm > 0:
                 grads = grad_clamp(grads, cfg.grad_clamp_norm)
             theta = adam_step(theta, grads, state)
             losses.append(batch_loss / pairs)
-        score = run.evaluate(theta)
+        score = run.evaluate(predictor(theta))
         if run.keep_best and score > best[0]:
             best, best_theta = (score, epoch), theta
         rows.append((run.run_id, epoch, "train", run.loss, float(np.mean(losses))))
         rows.append((run.run_id, epoch, *run.score, score))
-        rows.extend(stats.rows(run.run_id, epoch))
-        total_stats.merge(stats)
+        rows.extend(_solve_rows(run.run_id, epoch, solves[first:]))
         log.info(f"[{run.run_id}] epoch {epoch:3d}  "
                  + run.epoch_line.format(train=np.mean(losses), score=score))
-        if stats.bwd_unconverged:
-            log.warning(f"WARNING {run.run_id}: epoch {epoch}: {stats.bwd_unconverged} of "
-                        f"{stats.bwd_solves} backward solves hit max_iter; their "
+        bwd_bad = sum(not s[3] for s in solves[first:])
+        if bwd_bad:
+            log.warning(f"WARNING {run.run_id}: epoch {epoch}: {bwd_bad} of "
+                        f"{len(solves) - first} backward solves hit max_iter; their "
                         f"gradients are best-effort")
-    _flag_convergence(run.run_id, rows, total_stats, cfg.epochs)
+    rate = sum(not s[1] for s in solves) / len(solves) if solves else 0.0
+    rows.append((run.run_id, cfg.epochs, "train", "convergence_flag", float(rate > 0.01)))
+    if rate > 0.01:
+        log.warning(f"WARNING {run.run_id}: {100 * rate:.2f}% of forward solves failed to "
+                    f"converge; results are suspect")
     kept = best_theta if run.keep_best else theta
     meta = {"task": cfg.task, "model": run.model, "seed": cfg.seed}
     if run.keep_best:
         meta["best_epoch"] = best[1]
     if run.finish is not None:
-        extra_rows, extra_meta = run.finish(theta, kept, best)
+        extra_rows, extra_meta = run.finish(predictor, theta, kept, best)
         rows.extend(extra_rows)
         meta.update(extra_meta)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -383,14 +355,12 @@ def run_toybox(cfg: ExperimentConfig) -> list[tuple]:
              f"test={cfg.n_test} epochs={cfg.epochs} tol={cfg.tol:g}")
     z_train, t_train, z_test, t_test = _toybox_data(cfg)
     module = _toybox_module(cfg)
-    is_fpi = cfg.model != "feedforward"
 
-    def evaluate(theta):
-        pred = _batched_prediction(cfg, module, theta, z_test, False, is_fpi)
-        return mse_loss(Tensor(pred), Tensor(t_test)).item()
+    def evaluate(predict):
+        return mse_loss(Tensor(_columns(predict, z_test)), Tensor(t_test)).item()
 
     return _fit(cfg, _Run(
-        run_id, cfg.model, module, is_fpi, stream=1, n_train=cfg.n_train,
+        run_id, cfg.model, module, cfg.model != "feedforward", stream=1, n_train=cfg.n_train,
         examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
         loss="mse", post_sigmoid=False, evaluate=evaluate, score=("test", "mse"),
         epoch_line="train mse {train:.6f}  test mse {score:.6f}", keep_best=False))
@@ -408,7 +378,6 @@ def _noisy(clean: np.ndarray, sigma: float, seed_parts: list[int]) -> Tensor:
 def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test) -> list[tuple]:
     run_id = f"denoise-{model_kind}-s{sigma:g}-seed{cfg.seed}"
     module = ConvG(channels=cfg.channels)
-    is_fpi = model_kind == "fpi_nn"
     test_noisy = [_noisy(img, sigma, [cfg.seed, 13, i]) for i, img in enumerate(images_test)]
 
     def examples(idx, epoch):
@@ -417,21 +386,21 @@ def _denoise_one_model(cfg, model_kind, sigma, images_train, images_test) -> lis
             clean = Tensor(images_train[i][None])
             yield _noisy(images_train[i], sigma, [cfg.seed, 14, epoch, int(i)]), clean
 
-    def evaluate(theta):
-        return float(np.mean([psnr(_predict_vector(cfg, module, theta, z, False, is_fpi),
-                                   Tensor(clean[None]), peak=1.0)
+    def evaluate(predict):
+        return float(np.mean([psnr(predict(z), Tensor(clean[None]), peak=1.0)
                               for z, clean in zip(test_noisy, images_test)]))
 
-    def finish(last, kept, best):
+    def finish(predictor, last, kept, best):
         return ([(run_id, cfg.epochs, "test", "psnr_best", best[0]),
                  (run_id, cfg.epochs, "test", "psnr_best_epoch", float(best[1]))],
                 {"sigma": sigma})
 
     return _fit(cfg, _Run(
-        run_id, model_kind, module, is_fpi, stream=11, n_train=len(images_train),
-        examples=examples, loss="mse", post_sigmoid=False, evaluate=evaluate,
-        score=("test", "psnr"), epoch_line="train mse {train:.6f}  test psnr {score:.3f} dB",
-        keep_best=True, finish=finish))
+        run_id, model_kind, module, model_kind == "fpi_nn", stream=11,
+        n_train=len(images_train), examples=examples, loss="mse", post_sigmoid=False,
+        evaluate=evaluate, score=("test", "psnr"),
+        epoch_line="train mse {train:.6f}  test psnr {score:.3f} dB", keep_best=True,
+        finish=finish))
 
 
 def run_denoise(cfg: ExperimentConfig) -> list[tuple]:
@@ -486,20 +455,20 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset,
     z_val, t_val = z_train[:, val_idx], Tensor(t_train[:, val_idx])
     t_test = Tensor(test.labels.data.T)
 
-    def f1_at(theta, z, target, tau):
-        scores = _batched_prediction(cfg, module, theta, z, post_sigmoid, True)
+    def f1_at(predict, z, target, tau):
+        scores = _columns(predict, z)
         return f1_score(Tensor((scores >= tau).astype(np.float64)), target)
 
-    def swept(theta):
+    def swept(predict):
         """The threshold swept on the validation scores, and the F1 there."""
-        scores = Tensor(_batched_prediction(cfg, module, theta, z_val, post_sigmoid, True))
+        scores = Tensor(_columns(predict, z_val))
         tau = select_threshold(scores, t_val)
         return tau, f1_score(Tensor((scores.data >= tau).astype(np.float64)), t_val)
 
-    def finish(last, kept, best):
-        tau, _ = swept(kept)
-        test_f1 = f1_at(kept, test.features.data.T, t_test, tau)
-        last_f1 = f1_at(last, test.features.data.T, t_test, tau)
+    def finish(predictor, last, kept, best):
+        tau, _ = swept(predictor(kept))
+        test_f1 = f1_at(predictor(kept), test.features.data.T, t_test, tau)
+        last_f1 = f1_at(predictor(last), test.features.data.T, t_test, tau)
         log.info(f"[{run_id}] threshold {tau:.2f}  test f1 {100 * test_f1:.1f} "
                  f"(best epoch {best[1]}), last-epoch f1 {100 * last_f1:.1f}")
         return ([(run_id, cfg.epochs, "test", "f1", test_f1),
@@ -512,7 +481,7 @@ def _multilabel_one_model(cfg, model_kind, train: SparseDataset,
         run_id, model_kind, module, True, stream=21, n_train=n,
         examples=lambda idx, epoch: [(Tensor(z_train[:, idx]), Tensor(t_train[:, idx]))],
         loss="bce", post_sigmoid=post_sigmoid,
-        evaluate=lambda theta: swept(theta)[1], score=("val", "f1_swept"),
+        evaluate=lambda predict: swept(predict)[1], score=("val", "f1_swept"),
         epoch_line="train bce {train:.5f}  val f1@swept {score:.4f}", keep_best=True,
         finish=finish))
 

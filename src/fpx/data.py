@@ -56,13 +56,13 @@ def read_pgm(path) -> np.ndarray:
             raise DataError(f"{path}: not a binary PGM (magic {magic!r})")
         if maxval != 255:
             raise DataError(f"{path}: unsupported maxval {maxval}")
+        if len(raw) - pos < w * h:
+            raise DataError(f"{path}: truncated pixel data")
         data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     except DataError:
         raise
     except Exception as exc:
         raise DataError(f"{path}: corrupt PGM ({exc})") from exc
-    if data.size != w * h:
-        raise DataError(f"{path}: truncated pixel data")
     return data.reshape(h, w).astype(np.float64) / 255.0
 
 

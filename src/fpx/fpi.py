@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .graph import Graph, Node, Recipe, backward, backward_nodes, register_vjp, vjp
+from .graph import Evaluator, Graph, Node, Recipe, backward, backward_nodes, register_vjp, vjp
 from .layers import GModule, Parameters, _power_norm
 from .tensor import NumericsError, ShapeError, Tensor
 
@@ -286,19 +286,21 @@ def unrolled_gradient(g: GModule, x0: Tensor, z: Tensor, theta: Parameters,
 # the solve as a single graph node
 
 
-def fpi_layer(graph: Graph, g: GModule, z: Node, theta: dict[str, Node],
-              cfg: FpiConfig, x0: Tensor | None = None) -> Node:
-    """Insert a whole fixed-point solve into ``graph`` as one node.
+def fpi_layer(graph: Graph | Evaluator, g: GModule, z: Node, theta: dict[str, Node],
+              cfg: FpiConfig) -> Node:
+    """Insert a whole fixed-point solve, started from a zero state, into
+    ``graph`` as one node.
 
     The forward solve runs unrecorded; the node's backward rule invokes the
     backward FPI layer.  The FixedPointResult (iteration count, residual,
     convergence flag) is available as ``node.attrs["result"]``, and the
     backward result is attached as ``attrs["backward_result"]`` once gradients
-    have flowed.
+    have flowed.  On an ``Evaluator`` the layer is the solve's ``x_hat``, as
+    ``GModule.apply`` is the value of a module.
     """
-    params = Parameters({n: theta[n].value for n in g.param_names})
-    start = x0 if x0 is not None else T.zeros(g.state_shape(z.value))
-    result = forward_fpi(g, start, z.value, params, cfg)
+    z_value = graph._value(z)
+    params = Parameters({n: graph._value(theta[n]) for n in g.param_names})
+    result = forward_fpi(g, T.zeros(g.state_shape(z_value)), z_value, params, cfg)
     parents = (z, *[theta[n] for n in g.param_names])
     return graph._append("fpi_layer", parents, result.x_hat,
                          {"module": g, "cfg": cfg, "result": result})

@@ -415,22 +415,6 @@ def backward(graph: Graph, output: Node, seed=None) -> dict[int, Tensor]:
 # partial differentiation on an independent graph
 
 
-class _PartialState:
-    """Retained independent graph shared by the outputs of one partial_diff.
-
-    It holds the forward pass and the first differentiation as nodes; every
-    backward sweep through the operator is a value sweep over it, so
-    repeated sweeps never grow it.
-    """
-
-    __slots__ = ("inner", "leaves", "grad_nodes")
-
-    def __init__(self, inner, leaves, grad_nodes):
-        self.inner: Graph = inner
-        self.leaves = leaves
-        self.grad_nodes = grad_nodes
-
-
 # A recipe r(surface, inputs) -> node builds one output from named inputs; its
 # input names are the keys of the dict it is called with.  It must be pure:
 # built on any graph from equal input values, it gives equal output values.
@@ -471,22 +455,24 @@ def partial_diff(graph: Graph | Evaluator, s: dict[str, Node], r: Recipe,
     if surface is graph:
         return [grads[w] for w in wrt]
 
-    state = _PartialState(inner, leaves, grads)
-    parents = tuple(s.values())
-    return [graph._append("partial_diff", parents, grads[w].value,
-                          {"state": state, "wrt": w})
+    # every output keeps the inner graph, which holds the forward pass and the
+    # first differentiation as nodes, its clone leaves in parent order, and
+    # its gradient node there; a backward sweep through it is a value sweep
+    # over the inner graph, so repeated sweeps never grow it
+    clones = tuple(leaves.values())
+    return [graph._append("partial_diff", tuple(s.values()), grads[w].value,
+                          {"inner": inner, "leaves": clones, "grad": grads[w]})
             for w in wrt]
 
 
 @register_vjp("partial_diff")
 def _vjp_partial_diff(g, node, seed, need):
-    state: _PartialState = node.attrs["state"]
     # the gradient of <delta, d r / d s_w>: one value sweep on the retained
     # independent graph from d r / d s_w, seeded with the incoming gradient's
     # value; its results re-enter ``g`` as leaves (no derivatives for them).
     # The graph keeps the sweep's dependent set across calls.
-    leaves = list(state.leaves.values())    # one per parent, in order
-    second = backward_nodes(state.inner, state.grad_nodes[node.attrs["wrt"]], g._value(seed),
+    leaves = node.attrs["leaves"]
+    second = backward_nodes(node.attrs["inner"], node.attrs["grad"], g._value(seed),
                             [leaf for leaf, k in zip(leaves, need) if k])
     return [g.leaf(second[leaf.id]) if leaf.id in second else None for leaf in leaves]
 

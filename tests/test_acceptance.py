@@ -9,7 +9,6 @@ self-contained and seeded.
 import os
 import time
 
-import numpy as np
 import pytest
 
 from fpx import gradcheck

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import logging
 import os
@@ -10,7 +11,6 @@ import pytest
 
 import fpx
 from fpx.cli import (
-    ExperimentConfig,
     emit_metrics,
     fpi_config,
     main,
@@ -162,16 +162,20 @@ class TestRunners:
         assert len(blobs) == (1 if task == "toybox" else 2)
 
     @pytest.mark.parametrize("task", ["toybox", "denoise"])
-    def test_unconverged_forward_solve_policy(self, tmp_path, task):
+    def test_unconverged_forward_solve_policy(self, tmp_path, task, caplog):
         cfg = _tiny_config(task, tmp_path, tmp_path / "abort", model="fpi_nn", max_iter=1,
                            on_unconverged="abort")
-        with pytest.raises(RuntimeError, match="failed to converge"):
+        with pytest.raises(RuntimeError, match="forward solve failed to converge"):
             _RUNNERS[task](cfg)
         cfg = _tiny_config(task, tmp_path, tmp_path / "warn", model="fpi_nn", max_iter=1,
                            on_unconverged="warn")
-        rows = _RUNNERS[task](cfg)
+        with caplog.at_level(logging.WARNING, logger="fpx"):
+            rows = _RUNNERS[task](cfg)
         assert [r[4] for r in rows if r[3] == "convergence_flag"] == [1.0]
         assert all(r[4] == 1.0 for r in rows if r[3] == "fpi_unconverged_rate")
+        run_id = {r[0] for r in rows if r[3] == "convergence_flag"}.pop()
+        assert (f"WARNING {run_id}: 100.00% of forward solves failed to converge; "
+                "results are suspect") in caplog.messages
 
     def test_unconverged_backward_solve_policy(self, tmp_path):
         # an untrained fpi_gd forward solve stops after one step, while its
@@ -356,3 +360,22 @@ def test_benchmark_tracer_finds_every_hook():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def _unread_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in imports for alias in node.names}
+    return sorted(imported - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # the package's __init__ imports names only to re-export them
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in sorted((root / "src" / "fpx").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((root / "tests").glob("*.py"))
+    unread = {p.relative_to(root).as_posix(): _unread_imports(p) for p in paths}
+    assert {name: names for name, names in unread.items() if names} == {}

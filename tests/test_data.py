@@ -38,7 +38,7 @@ class TestPgm:
     def test_truncated_pixels(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 7)
-        with pytest.raises(DataError, match="truncated"):
+        with pytest.raises(DataError, match="truncated pixel data"):
             read_pgm(path)
 
     def test_corpus_generation_is_deterministic(self, tmp_path):

@@ -7,12 +7,10 @@ from fpx import fpi as fpi_mod
 from fpx import graph as graph_mod
 from fpx import tensor as T
 from fpx.fpi import (
-    BackwardFpiResult,
     _CotangentIteration,
     ConditioningError,
     Criterion,
     DivergenceError,
-    FixedPointResult,
     FpiConfig,
     backward_fpi,
     closed_form_gradient,
@@ -28,14 +26,13 @@ from fpx.layers import (
     ConvG,
     EnergyNet,
     GdG,
-    GModule,
     MlpG,
     Parameters,
     lipschitz_project,
 )
 from fpx.tensor import Tensor
 
-from reference import central_diff, rel_err
+from reference import rel_err
 
 
 def affine_params(rng, dim, norm):

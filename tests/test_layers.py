@@ -3,8 +3,8 @@ import pytest
 
 from fpx import graph as graph_mod
 from fpx import tensor as T
-from fpx.fpi import FpiConfig, forward_fpi
-from fpx.graph import Graph, backward
+from fpx.fpi import FpiConfig, forward_fpi, fpi_layer
+from fpx.graph import Evaluator, Graph, backward
 from fpx.layers import (
     AffineG,
     ConvG,
@@ -57,11 +57,14 @@ class TestApply:
     @pytest.mark.parametrize("kind", ["MlpG", "ConvG"])
     def test_forward_solve_makes_no_node(self, kind):
         module, _, z, theta = _module_case(kind)
+        cfg = FpiConfig(tol=1e-12, max_iter=50)
         graph_mod.reset_peak_live_node_count()
         base = graph_mod.live_node_count()
-        res = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta,
-                          FpiConfig(tol=1e-12, max_iter=50))
+        res = forward_fpi(module, T.zeros(module.state_shape(z)), z, theta, cfg)
+        # the layer on an evaluator is the same solve's x_hat
+        layer = fpi_layer(Evaluator(), module, z, theta, cfg)
         assert res.iterations > 1
+        assert isinstance(layer, Tensor) and np.array_equal(layer.data, res.x_hat.data)
         assert graph_mod.live_node_count() == base
         assert graph_mod.peak_live_node_count() == base
 
